@@ -78,6 +78,7 @@ from repro.core.decision import DECISION_POLICIES
 from repro.harness import experiments as experiments_mod
 from repro.harness.report import format_table, write_csv
 from repro.harness.runner import load_latency_sweep, run_synthetic
+from repro.sim.kernel import Simulator, UnknownEngineError
 
 #: uniform exit codes (see module docstring / README)
 EXIT_FAILURE = 1
@@ -591,23 +592,12 @@ def cmd_bench(args) -> int:
             return EXIT_CONFIG
     report = run_bench(repeats=args.repeats, seed=args.seed,
                        scenarios=scenarios)
-    rows = [(r["scenario"], r["legacy_cps"], r["fast_cps"], r["batch_cps"],
-             r["ratio"], r["batch_ratio"],
-             f"{r['target_ratio']}/{r['batch_target']}",
-             "PASS" if r["ok"] else "FAIL")
+    rows = [(r["scenario"], r["legacy_cps"], r["fast_cps"], r["ratio"],
+             r["target_ratio"], "PASS" if r["ok"] else "FAIL")
             for r in report["scenarios"]]
     print(format_table(
-        ("scenario", "legacy_cps", "fast_cps", "batch_cps", "fast_x",
-         "batch_x", "targets", "ok"),
+        ("scenario", "legacy_cps", "fast_cps", "fast_x", "target", "ok"),
         rows, title=f"Engine throughput (best of {args.repeats})"))
-    if not args.no_replicas:
-        from repro.harness.bench import time_replica_throughput
-        rep_fig = time_replica_throughput(seed=args.seed)
-        report["replicas"] = rep_fig
-        print(f"\nbatched replicas: {rep_fig['replicas']} seeds x "
-              f"{rep_fig['cycles_per_replica']} cycles: "
-              f"{rep_fig['batched_wall_seconds']}s wall "
-              f"({rep_fig['batched_cps']} cycles/s aggregate)")
     if not args.no_sweep:
         sweep_fig = time_supervised_sweep(jobs=args.jobs, seed=args.seed)
         report["sweep"] = sweep_fig
@@ -830,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schemes",
                    default="packet_vc4,hybrid_tdm_vc4,hybrid_tdm_vct")
     p.add_argument("--engine", default=None,
-                   choices=("legacy", "fast", "batch"),
+                   choices=Simulator.ENGINES,
                    help="pin every point to one scheduler (default: "
                         "the worker's process default)")
     p.add_argument("--supervised", action="store_true",
@@ -1021,11 +1011,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_replay)
 
     p = sub.add_parser("verify-equivalence",
-                       help="verify N-way engine equivalence "
-                            "(legacy/fast/batch by default)")
-    p.add_argument("--engines", default="legacy,fast,batch",
+                       help="verify the fast engine against the legacy "
+                            "oracle")
+    p.add_argument("--engines", default="legacy,fast",
                    help="comma-separated engines to compare; the first "
-                        "is the baseline the others are diffed against")
+                        "is the baseline the other is diffed against")
     p.add_argument("--schemes",
                    default="packet_vc4,hybrid_sdm_vc4,hybrid_tdm_vc4,"
                            "hybrid_tdm_vct,hybrid_tdm_hop_vc4,"
@@ -1046,16 +1036,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench",
                        help="engine cycles/sec benchmark "
-                            "(legacy vs fast vs batch)")
+                            "(legacy vs fast)")
     p.add_argument("--repeats", type=int, default=5,
                    help="interleaved timing repeats; best run kept")
     p.add_argument("--json", default="BENCH_simperf.json",
                    help="output path for the machine-readable report")
     p.add_argument("--baseline", default=None,
                    help="committed BENCH_simperf.json to regress "
-                        "fast/batch-engine throughput against")
-    p.add_argument("--no-replicas", action="store_true",
-                   help="skip the batched-replica throughput figure")
+                        "fast-engine throughput against")
     p.add_argument("--tolerance", type=float, default=0.02,
                    help="allowed slowdown vs the baseline; values >= 1 "
                         "are read as a percentage (10 means 10%%)")
@@ -1081,7 +1069,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop traffic here so the drain/sleep path "
                         "shows up; pass -1 to never stop")
     p.add_argument("--engine", default="fast",
-                   choices=("legacy", "fast", "batch"))
+                   choices=Simulator.ENGINES)
     p.add_argument("--width", type=int, default=4)
     p.add_argument("--height", type=int, default=4)
     p.add_argument("--sort", default="cumulative",
@@ -1119,7 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(DECISION_POLICIES),
                    help="circuit-decision policy for hybrid schemes")
     p.add_argument("--engine", default=None,
-                   choices=("legacy", "fast", "batch"))
+                   choices=Simulator.ENGINES)
     _add_common(p)
     p.set_defaults(fn=cmd_hetero)
 
@@ -1170,7 +1158,8 @@ def _classify_exit(exc: BaseException) -> Optional[int]:
     from repro.service.client import ServiceError
     from repro.service.jobs import JobSpecError
 
-    if isinstance(exc, (SweepConfigError, JobSpecError)):
+    if isinstance(exc, (SweepConfigError, JobSpecError,
+                        UnknownEngineError)):
         return EXIT_CONFIG
     if isinstance(exc, ServiceError):
         # backpressure and server-side trouble are retryable; other

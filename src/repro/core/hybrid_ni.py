@@ -11,15 +11,6 @@ Adds the circuit-switched send path on top of the packet-switched NI:
   to the circuit owner — the untransmitted remainder of the message is
   re-framed and queued on the packet-switched path, and the manager's
   2-bit sharing-failure counters are updated.
-
-The batch engine's vectorized window (:mod:`repro.sim.batch.stepper`)
-never models the circuit-switched injection machinery: a router whose
-``_cs_inject`` queue is non-empty (or whose circuit flags are dirty)
-is spilled to the ordinary per-object step for as long as that holds,
-so everything this NI schedules runs through the same code under every
-engine.  The NI itself still runs object-side inside windows — only
-the router phases are vectorized — which is why no hybrid-specific
-mirror state exists for NIs.
 """
 
 from __future__ import annotations

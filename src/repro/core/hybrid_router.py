@@ -207,9 +207,6 @@ class HybridRouter(PacketRouter):
         exactly *cycle* (the NI computed the slot-aligned time)."""
         inj = CSInjection(flit, expected_outport, on_ok, on_fail, token)
         self._cs_inject.setdefault(cycle, []).append(inj)
-        vn = self._vector_notify
-        if vn is not None:
-            vn(self)    # batch stepper: this router is now irregular
         self.sim_wake()
 
     def _process_cs_injections(self, cycle: int) -> None:

@@ -1,16 +1,14 @@
-"""Simulator-throughput benchmark: legacy vs fast vs batch engines.
+"""Simulator-throughput benchmark: legacy vs fast engines.
 
 Measures wall-clock cycles/second for the run-everything ``legacy``
-scheduler, the activity-tracked ``fast`` scheduler, and the compiled
-fast-forward ``batch`` engine (see :mod:`repro.sim.kernel` and
-:mod:`repro.sim.batch`) on three scenario shapes:
+scheduler and the activity-tracked ``fast`` scheduler (see
+:mod:`repro.sim.kernel`) on these scenario shapes:
 
 ``idle``
     A network with quiescent sources.  The fast engine sleeps every
-    component; the batch engine goes further and jumps the whole run in
-    a handful of O(1) skips.  Models the long idle stretches of real
-    application traces (the paper's Table III workloads inject at
-    0.5–8% of peak, so most cycles touch almost nothing).
+    component.  Models the long idle stretches of real application
+    traces (the paper's Table III workloads inject at 0.5–8% of peak,
+    so most cycles touch almost nothing).
 
 ``loaded_epoch``
     A burst of uniform-random traffic that stops mid-run, followed by a
@@ -22,20 +20,21 @@ fast-forward ``batch`` engine (see :mod:`repro.sim.kernel` and
     flows (the hot loops are shared — a bit-exact engine cannot make
     the per-flit Python cheaper), so the engines separate on the tail:
     legacy pays full price per idle cycle, fast pays a small empty-
-    list iteration per cycle, and batch jumps the tail in O(1) skips.
+    list iteration per cycle.
 
 ``mesh16``
-    A 16x16 mesh at low injection duty — the ROADMAP item 2 shape
-    (routine large-mesh sweeps).  512 components make the legacy
-    engine's run-everything scan expensive on every one of the 16000
-    cycles, while the traffic is over by ~cycle 350; the batch engine
-    fast-forwards the remaining ~97% of the run outright.  Together
-    with ``loaded_epoch`` this carries the >= 10x batch/legacy
-    acceptance target.
+    A 16x16 mesh at low injection duty (routine large-mesh sweeps).
+    512 components make the legacy engine's run-everything scan
+    expensive on every one of the 16000 cycles, while the traffic is
+    over by ~cycle 350 and the fast engine sleeps through the rest.
+
+``hetero_mix`` / ``trace_replay``
+    The closed-loop heterogeneous system, and a recorded hetero trace
+    replayed with a long idle tail.
 
 Timing noise on shared machines is large, so each (scenario, engine)
-pair is timed ``repeats`` times *interleaved* (legacy, fast, batch,
-legacy, ...) and the best run per engine is kept: interleaving spreads
+pair is timed ``repeats`` times *interleaved* (legacy, fast, legacy,
+...) and the best run per engine is kept: interleaving spreads
 machine-load transients evenly across the engines, and max-of-N is
 the standard estimator for "true" speed under one-sided noise.
 
@@ -54,7 +53,7 @@ from repro.harness.runner import prepare_synthetic
 
 #: engines timed per scenario, in interleave order (legacy first so the
 #: ratios' denominator is always measured under the same load phase)
-ENGINES = ("legacy", "fast", "batch")
+ENGINES = ("legacy", "fast")
 
 
 @dataclass
@@ -70,7 +69,6 @@ class BenchScenario:
     width: int = 4
     height: int = 4
     target_ratio: float = 1.3           #: fast/legacy cycles-per-second
-    batch_target: float = 1.0           #: batch/legacy cycles-per-second
     repeats: Optional[int] = None       #: override run_bench's repeats
     #: "synthetic" (default), "hetero" (closed-loop phased hetero
     #: system) or "trace_replay" (recorded hetero trace + idle tail)
@@ -80,42 +78,29 @@ class BenchScenario:
 
 
 #: Default scenario set; targets match the acceptance criteria
-#: (>= 3x idle, >= 2x loaded epoch, >= 10x batch on the 16x16 mesh).
+#: (>= 3x idle, >= 2x loaded epoch, >= 3x on the 16x16 mesh).
 SCENARIOS: List[BenchScenario] = [
     BenchScenario(name="idle", rate=0.0, cycles=4000,
-                  width=6, height=6, target_ratio=3.0, batch_target=10.0),
+                  width=6, height=6, target_ratio=3.0),
     BenchScenario(name="loaded_epoch", rate=0.2, stop_cycle=500,
-                  cycles=40000, target_ratio=2.0, batch_target=10.0),
+                  cycles=40000, target_ratio=2.0),
     # 16x16 runs are slow under legacy by construction (that is the
     # point being measured); cap the interleave rounds so the default
     # bench invocation stays tractable
     BenchScenario(name="mesh16", rate=0.05, stop_cycle=250, cycles=16000,
-                  width=16, height=16, target_ratio=3.0,
-                  batch_target=10.0, repeats=2),
-    # 32x32 VCT mesh: the vectorized active-window shape.  vc_gating
-    # keeps all 1024 routers awake every cycle (utilisation sampling),
-    # so fast/legacy pay per-object Python on every loaded cycle while
-    # the batch engine steps the whole network as array ops — this row
-    # is where the SoA datapath, not the fast-forward skip, carries the
-    # batch ratio.  fast/legacy cannot separate here (nothing sleeps),
-    # so its target is only a no-overhead guard.  Legacy at 2000+
-    # components is slow by construction; short run, two rounds.
-    BenchScenario(name="mesh32", scheme="hybrid_tdm_vct", rate=0.02,
-                  stop_cycle=150, cycles=4000, width=32, height=32,
-                  target_ratio=0.9, batch_target=4.0, repeats=2),
-    # ROADMAP item 3 shapes.  hetero_mix keeps every endpoint awake
-    # every cycle, so the engines cannot separate — the targets only
-    # guard against the fast/batch machinery adding overhead to the
-    # always-busy case.  trace_replay ends its recorded traffic early
-    # and coasts on a quiescent tail the batch engine fast-forwards.
+                  width=16, height=16, target_ratio=3.0, repeats=2),
+    # hetero_mix keeps every endpoint awake every cycle, so the engines
+    # cannot separate — the target only guards against the fast
+    # machinery adding overhead to the always-busy case.  trace_replay
+    # ends its recorded traffic early and sleeps through a long tail.
     BenchScenario(name="hetero_mix", kind="hetero", cycles=4000,
                   width=6, height=6, cpu_benchmark="ART",
                   gpu_benchmark="BLACKSCHOLES",
-                  target_ratio=0.8, batch_target=0.8, repeats=3),
+                  target_ratio=0.8, repeats=3),
     BenchScenario(name="trace_replay", kind="trace_replay", cycles=60000,
                   width=6, height=6, cpu_benchmark="ART",
                   gpu_benchmark="BLACKSCHOLES",
-                  target_ratio=2.5, batch_target=3.0, repeats=3),
+                  target_ratio=2.5, repeats=3),
 ]
 
 #: per-process cache of the recorded trace_replay events (the recording
@@ -161,8 +146,6 @@ def _time_run(scn: BenchScenario, engine: str, seed: int) -> float:
         cfg = scheme_config(scn.scheme, width=scn.width, height=scn.height)
         sim = Simulator(seed=seed, engine=engine)
         net = _make_network(cfg, sim)
-        if sim._batch is not None:
-            sim._batch.attach_network(net)
         attach_trace_sources(net, events)
     else:
         sim, _net, sources = prepare_synthetic(
@@ -204,7 +187,6 @@ def run_bench(repeats: int = 5, seed: int = 1,
                     best[engine] = cps
         legacy = best["legacy"]
         ratio = best["fast"] / legacy if legacy else 0.0
-        batch_ratio = best["batch"] / legacy if legacy else 0.0
         rows.append({
             "scenario": scn.name,
             "kind": scn.kind,
@@ -217,13 +199,9 @@ def run_bench(repeats: int = 5, seed: int = 1,
             "height": scn.height,
             "legacy_cps": round(best["legacy"], 1),
             "fast_cps": round(best["fast"], 1),
-            "batch_cps": round(best["batch"], 1),
             "ratio": round(ratio, 3),
-            "batch_ratio": round(batch_ratio, 3),
             "target_ratio": scn.target_ratio,
-            "batch_target": scn.batch_target,
-            "ok": (ratio >= scn.target_ratio
-                   and batch_ratio >= scn.batch_target),
+            "ok": ratio >= scn.target_ratio,
         })
     return {
         "benchmark": "simperf",
@@ -231,42 +209,6 @@ def run_bench(repeats: int = 5, seed: int = 1,
         "seed": seed,
         "scenarios": rows,
         "ok": all(r["ok"] for r in rows),
-    }
-
-
-def time_replica_throughput(n_replicas: int = 4, seed: int = 1,
-                            cycles: int = 2000) -> Dict:
-    """Wall-clock a batched-replica run vs the same seeds run solo.
-
-    Both sides use the batch engine, so the figure isolates what
-    replica batching itself buys (shared loop, amortised Python
-    dispatch) rather than re-measuring engine speedups."""
-    from repro.sim.batch.replica import ReplicaSet
-
-    seeds = [seed + i for i in range(n_replicas)]
-    build = dict(width=4, height=4, slot_table_size=32, stop_cycle=400)
-
-    t0 = time.perf_counter()
-    rs = ReplicaSet.synthetic("hybrid_tdm_vc4", "uniform_random", 0.1,
-                              seeds, **build)
-    rs.run(cycles, chunk=500)
-    batched = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    solo = ReplicaSet.synthetic("hybrid_tdm_vc4", "uniform_random", 0.1,
-                                [seeds[0]], **build)
-    solo.run(cycles, chunk=500)
-    solo_wall = time.perf_counter() - t0
-
-    total = cycles * n_replicas
-    return {
-        "replicas": n_replicas,
-        "cycles_per_replica": cycles,
-        "batched_wall_seconds": round(batched, 3),
-        "solo_wall_seconds": round(solo_wall, 3),
-        "batched_cps": round(total / batched, 1) if batched else 0.0,
-        "efficiency": round(solo_wall * n_replicas / batched, 3)
-        if batched else 0.0,
     }
 
 
@@ -317,7 +259,7 @@ def compare_to_baseline(report: Dict, baseline: Dict,
                         tolerance: float = 0.02) -> List[str]:
     """Regression guard for the zero-overhead-when-disabled contract.
 
-    Compares each scenario's fast- and batch-engine cycles/second
+    Compares each scenario's fast-engine cycles/second
     against the same scenario in *baseline* (a previously committed
     ``BENCH_simperf.json``) and returns a list of human-readable
     failures — empty means every scenario stayed within ``tolerance``
@@ -325,8 +267,7 @@ def compare_to_baseline(report: Dict, baseline: Dict,
 
     Only slowdowns fail; running faster than the baseline is fine.
     Scenarios absent from the baseline are skipped (a new scenario has
-    nothing to regress against), as are engine columns the baseline
-    predates (old baselines carry no ``batch_cps``).
+    nothing to regress against).
 
     A *tolerance* of 1 or more is read as a percentage — ``10`` and
     ``0.10`` both mean "allow a 10% slowdown" — so either spelling
@@ -340,14 +281,11 @@ def compare_to_baseline(report: Dict, baseline: Dict,
         base = base_by_name.get(row["scenario"])
         if base is None:
             continue
-        for column, label in (("fast_cps", "fast"), ("batch_cps", "batch")):
-            if column not in base or column not in row:
-                continue
-            floor = base[column] * (1.0 - tolerance)
-            if row[column] < floor:
-                failures.append(
-                    f"{row['scenario']}: {label} engine {row[column]:.1f} "
-                    f"cycles/s < {floor:.1f} "
-                    f"({100 * tolerance:.0f}% below baseline "
-                    f"{base[column]:.1f})")
+        floor = base["fast_cps"] * (1.0 - tolerance)
+        if row["fast_cps"] < floor:
+            failures.append(
+                f"{row['scenario']}: fast engine {row['fast_cps']:.1f} "
+                f"cycles/s < {floor:.1f} "
+                f"({100 * tolerance:.0f}% below baseline "
+                f"{base['fast_cps']:.1f})")
     return failures

@@ -8,14 +8,6 @@ this shows, re-run, and check the engine ratio with ``repro bench``.
 
 The profile deliberately excludes network construction: the profiler
 starts right before ``sim.run`` so the frames are the per-cycle work.
-
-Under ``--engine batch`` the report is followed by the engine's own
-phase breakdown (:meth:`~repro.sim.batch.engine.BatchEngine
-.phase_profile`): wall-clock split across the vectorized window step,
-the object-side spill step inside windows, the quiescence probe, and
-residual per-object stepping, plus the window/skip counters.  cProfile
-attributes numpy time poorly (C calls fold into one frame), so the
-engine's own accounting is the number to optimise against.
 """
 
 from __future__ import annotations
@@ -64,26 +56,5 @@ def profile_epoch(scheme: str = "hybrid_tdm_vc4",
     header = (f"# {scheme} @ {pattern} rate {rate} "
               f"({'stop@' + str(stop_cycle) + ', ' if stop_cycle else ''}"
               f"{cycles} cycles, {engine} engine, seed {seed})\n")
-    report = header + buf.getvalue()
-    if sim._batch is not None:
-        report += format_phase_profile(sim._batch.phase_profile())
-    return report
+    return header + buf.getvalue()
 
-
-def format_phase_profile(pp: dict) -> str:
-    """Render :meth:`BatchEngine.phase_profile` as an aligned table."""
-    total = pp["total"] or 1.0
-    lines = ["", "# batch engine phase breakdown",
-             f"{'phase':<18}{'seconds':>10}{'share':>8}"]
-    for key in ("vector_step", "spill_step", "quiescence_probe",
-                "object_step"):
-        secs = pp[key]
-        lines.append(f"{key:<18}{secs:>10.4f}{100 * secs / total:>7.1f}%")
-    lines.append(f"{'total':<18}{pp['total']:>10.4f}{100.0:>7.1f}%")
-    lines.append("")
-    lines.append(f"windows={pp['windows']} "
-                 f"vector_cycles={pp['vector_cycles']} "
-                 f"spill_router_cycles={pp['spill_router_cycles']} "
-                 f"fast_forward_skips={pp['fast_forward_skips']} "
-                 f"cycles_skipped={pp['cycles_skipped']}")
-    return "\n".join(lines) + "\n"

@@ -81,8 +81,8 @@ def prepare_synthetic(scheme: str, pattern: str, rate: float,
     synthetic workload — including the replay verifier — must go through
     here (construction order matters: fault planning and traffic
     attachment draw from the seeded generator).  ``engine`` selects the
-    scheduler ("fast" activity-tracked, "legacy" run-everything,
-    "batch" compiled fast-forward); None means
+    scheduler ("fast" activity-tracked, "legacy" run-everything);
+    None means
     :func:`~repro.sim.kernel.default_engine` (the ``REPRO_ENGINE``
     override, else "fast").  All engines produce identical state
     trajectories (see ``verify_equivalence``).

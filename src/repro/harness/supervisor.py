@@ -121,7 +121,7 @@ def build_sweep_points(schemes: Sequence[str], pattern: str,
     time-series dump next to its result file (same ``point-NNNN``
     stem, ``.trace.jsonl`` / ``.trace.chrome.json`` / ``.metrics.json``
     suffixes).  ``engine`` pins every point to one scheduler
-    ("legacy"/"fast"/"batch"); None lets the worker use the process
+    ("legacy"/"fast"); None lets the worker use the process
     default."""
     point = {"warmup": warmup, "measure": measure, "seed": seed,
              "width": width, "height": height,
@@ -745,6 +745,18 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
             deadline=time.monotonic() + sup.timeout_s,
             granted_wall=now_wall)
 
+    def _fill_slots() -> None:
+        # backoff-expired retries launch before fresh points: a point
+        # already attempted should not starve behind the rest of the grid
+        now = time.monotonic()
+        waiting.sort(key=lambda w: (w["resume"], w["index"]))
+        while waiting and len(active) < jobs \
+                and waiting[0]["resume"] <= now:
+            entry = waiting.pop(0)
+            _launch(entry["index"], entry["attempts"] + 1)
+        while pending and len(active) < jobs:
+            _launch(pending.pop(), 1)
+
     def _release_lease(index: int) -> None:
         _remove_quiet(lease_path(run_dir, index))
         _remove_quiet(heartbeat_path(run_dir, index))
@@ -786,16 +798,7 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
             break
         yielding = control is not None and control.should_yield
         if not yielding:
-            # backoff-expired retries launch before fresh points: a
-            # point already attempted should not starve behind the
-            # rest of the grid
-            waiting.sort(key=lambda w: (w["resume"], w["index"]))
-            while waiting and len(active) < jobs \
-                    and waiting[0]["resume"] <= now:
-                entry = waiting.pop(0)
-                _launch(entry["index"], entry["attempts"] + 1)
-            while pending and len(active) < jobs:
-                _launch(pending.pop(), 1)
+            _fill_slots()
 
         now_wall = time.time()
         for index in sorted(active):
@@ -853,11 +856,16 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
                 _write_failure_manifest()
             _write_manifest()
 
-        if yielding and not active and (pending or waiting):
-            # slot handed back between points; unfinished work stays
-            # queued on disk for the next scheduling of this sweep
-            stopped = "preempted"
-            break
+        if yielding:
+            if not active and (pending or waiting):
+                # slot handed back between points; unfinished work
+                # stays queued on disk for the next scheduling
+                stopped = "preempted"
+                break
+        else:
+            # refill the slots freed by this pass before blocking, so
+            # they do not sit empty until the next wake
+            _fill_slots()
 
         if active:
             # wake on a worker exit, the next deadline/retry, or (capped

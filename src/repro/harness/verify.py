@@ -17,17 +17,16 @@ component drew randomness outside ``Simulator.rng``) and fails loudly —
 ``repro verify-replay`` runs this in CI.
 
 :func:`verify_equivalence` extends the same exact-oracle idea to the
-optimised schedulers (see :mod:`repro.sim.kernel`): N builds of the
-identical workload — one per engine, ``("legacy", "fast", "batch")`` by
-default — run in lockstep, and every ``interval`` cycles each must
-produce the same canonical ``state_hash`` and stats fingerprint as the
-baseline (first) engine.  The fast engine's component-skipping and the
-batch engine's compiled fast-forward are thereby gated by bit-exact
+fast scheduler (see :mod:`repro.sim.kernel`): one build of the
+identical workload per engine, ``("legacy", "fast")`` by default, and
+every ``interval`` cycles each must produce the same canonical
+``state_hash`` and stats fingerprint as the baseline (first) engine.
+The fast engine's component-skipping is thereby gated by bit-exact
 equality against the run-everything scheduler rather than eyeballed
-figures; ``repro verify-equivalence`` runs this three-way in CI.  On
-divergence the report localises the first divergent checkpoint and
-names the engines that broke from the baseline
-(:func:`compare_engine_runs` is the pure comparison core).
+figures; ``repro verify-equivalence`` runs this in CI.  On divergence
+the report localises the first divergent checkpoint and names the
+engines that broke from the baseline (:func:`compare_engine_runs` is
+the pure comparison core).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.config import FaultConfig, scheme_config
 from repro.harness.runner import prepare_synthetic
 from repro.sim.checkpoint import capture_state, restore_state, state_hash
-from repro.sim.kernel import LivelockError
+from repro.sim.kernel import LivelockError, check_engine
 
 
 @dataclass
@@ -141,9 +140,8 @@ def verify_replay(scheme: str, pattern: str = "transpose",
 # differential engine equivalence
 # ---------------------------------------------------------------------------
 #: engines compared by default: the run-everything oracle first (it is
-#: the baseline every other engine is diffed against), then both
-#: optimised schedulers
-DEFAULT_ENGINES: Tuple[str, ...] = ("legacy", "fast", "batch")
+#: the baseline the fast engine is diffed against)
+DEFAULT_ENGINES: Tuple[str, ...] = ("legacy", "fast")
 
 
 @dataclass
@@ -169,17 +167,6 @@ class EquivalenceReport:
     final_hashes: Dict[str, str]
     divergent_engines: List[str] = field(default_factory=list)
     mismatches: List[str] = field(default_factory=list)
-
-    # Back-compat accessors from the two-engine report format (the
-    # original fields assumed exactly ("legacy", "fast")); older
-    # callers and the CLI table keep working against N-way reports.
-    @property
-    def hash_final_legacy(self) -> str:
-        return self.final_hashes.get("legacy", "")
-
-    @property
-    def hash_final_fast(self) -> str:
-        return self.final_hashes.get("fast", "")
 
 
 def compare_engine_runs(engines: Sequence[str],
@@ -254,12 +241,12 @@ def verify_equivalence(scheme: str, pattern: str = "uniform_random",
     canonical state hash and the stats fingerprint must agree exactly
     with the first (baseline) engine's.  ``stop_cycle``, when set,
     stops the traffic sources mid-run so the drain/quiescent path —
-    where the fast engine sleeps components and the batch engine
-    fast-forwards — is exercised, not just the saturated path.
+    where the fast engine sleeps components — is exercised, not just
+    the saturated path.
     ``faults``, when set, is a dict of
     :class:`~repro.config.FaultConfig` field overrides enabling the
     fault-injection subsystem for every engine (which makes the
-    optimised engines fall back to run-everything scheduling — the
+    fast engine fall back to run-everything scheduling — the
     differential check then guards exactly that fallback)."""
     if interval < 1:
         raise ValueError("interval must be >= 1")
@@ -267,6 +254,7 @@ def verify_equivalence(scheme: str, pattern: str = "uniform_random",
     if len(engines) < 2:
         raise ValueError("need at least two engines to compare")
     for name in engines:
+        check_engine(name)
         if engines.count(name) > 1:
             raise ValueError(f"duplicate engine {name!r}")
     cfg = scheme_config(scheme, width=width, height=height,

@@ -122,8 +122,6 @@ class HeteroSystem:
         self.cfg = cfg or scheme_config(scheme, width=width, height=height)
         self.sim = Simulator(seed=seed, engine=engine or default_engine())
         self.net = _make_network(self.cfg, self.sim, policy)
-        if self.sim._batch is not None:
-            self.sim._batch.attach_network(self.net)
         self.layout: HeteroLayout = default_layout(self.net.mesh)
         self._attach_endpoints()
         self._perf_base = (0.0, 0)
@@ -242,8 +240,6 @@ def run_hetero_replay(scheme: str,
     cfg = cfg or scheme_config(scheme, width=width, height=height)
     sim = Simulator(seed=seed, engine=engine or default_engine())
     net = _make_network(cfg, sim, policy)
-    if sim._batch is not None:
-        sim._batch.attach_network(net)
     attach_trace_sources(net, events)
     sim.run(warmup)
     net.reset_stats()

@@ -69,12 +69,6 @@ class NetworkInterface(SimObject):
     #: NIs participate in activity-tracked sleeping (see sim/kernel.py)
     _sim_can_sleep = True
 
-    #: batch-engine hook: while a vectorized window is open the stepper
-    #: installs a callback here so inject-link sends land in its event
-    #: schedule; None (the class attribute) outside windows.  Scheduler
-    #: metadata, never snapshot state.
-    _vector_notify = None
-
     def __init__(self, node: int, cfg: NetworkConfig) -> None:
         self.node = node
         self.cfg = cfg
@@ -330,9 +324,6 @@ class NetworkInterface(SimObject):
                 ws = il.wake_sink
                 if ws is not None and not ws._sim_awake:
                     ws.sim_wake()
-                vn = self._vector_notify
-                if vn is not None:
-                    vn(self)    # batch stepper: schedule the delivery
             self.ledger.injected += 1
             counts = self.counters._counts
             counts["flit_injected"] = counts.get("flit_injected", 0) + 1

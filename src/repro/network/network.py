@@ -310,11 +310,6 @@ def build_network(cfg: NetworkConfig, sim: Simulator) -> Network:
     if cfg.faults.enabled:
         from repro.faults import attach_faults
         attach_faults(net, sim)
-    if sim._batch is not None:
-        # bind the batch engine's struct-of-arrays compiler to the
-        # finished network (after fault attachment, so blockers are
-        # already registered and classified)
-        sim._batch.attach_network(net)
     return net
 
 

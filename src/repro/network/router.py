@@ -48,12 +48,6 @@ class PacketRouter(SimObject):
 
     _sim_can_sleep = True
 
-    #: batch-engine hook: the vectorized stepper installs a callback
-    #: here (hybrid routers only) so a mid-window ``schedule_cs_injection``
-    #: reclassifies the router as irregular.  Scheduler metadata, never
-    #: snapshot state.
-    _vector_notify = None
-
     def __init__(self, node: int, cfg: NetworkConfig, mesh: Mesh) -> None:
         self.node = node
         self.cfg = cfg
@@ -205,52 +199,6 @@ class PacketRouter(SimObject):
             if clink is not None and clink._pipe:
                 return False
         return True
-
-    # ------------------------------------------------------------------
-    # batch-engine fast-forward protocol (see repro.sim.batch)
-    # ------------------------------------------------------------------
-    def sim_quiescent(self, cycle: int) -> bool:
-        """True when every phase of this router is either a no-op or
-        closed-form over a skipped stretch of cycles.
-
-        For a router without gating this is exactly :meth:`sim_idle`.
-        A gating router never satisfies ``sim_idle`` (its per-cycle
-        utilisation sampling and the controller's epoch clock are
-        always-on), so the idle predicate is evaluated with the gating
-        clause masked, plus the conditions that make the always-on
-        duties closed-form: every VC empty and every downstream VC
-        unowned, so ``_sample_utilisation`` would add exactly ``0.0``
-        each skipped cycle.
-        """
-        g = self.gating
-        if g is None:
-            return self.sim_idle(cycle)
-        self.gating = None
-        try:
-            idle = self.sim_idle(cycle)
-        finally:
-            self.gating = g
-        if not idle:
-            return False
-        for port in self.in_ports:
-            for vc in port.vcs:
-                if vc.busy:
-                    return False
-        for owners in self.out_vc_owner:
-            for owner in owners:
-                if owner is not None:
-                    return False
-        return True
-
-    def sim_skip_quiet(self, k: int) -> None:
-        """Apply *k* skipped quiescent cycles of always-on bookkeeping
-        in O(1).  ``_sample_utilisation`` over an empty router adds
-        ``busy/total == 0.0`` to the busy integral each cycle — a
-        bit-exact no-op, since the accumulator is never ``-0.0`` — and
-        increments the sample count; the controller's per-cycle drain
-        check and pre-epoch ticks touch nothing (the batch engine never
-        skips across an epoch boundary or an in-progress drain)."""
-        self._busy_samples += k
 
     def transfer(self, cycle: int) -> None:
         if cycle < self.stalled_until:

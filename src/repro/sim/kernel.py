@@ -20,20 +20,13 @@ All randomness must come from :attr:`Simulator.rng` (a seeded NumPy
 
 Engines
 -------
-The simulator ships three schedulers that are *behaviourally identical*
+The simulator ships two schedulers that are *behaviourally identical*
 (verified by the differential-equivalence harness in
 :mod:`repro.harness.verify`):
 
 ``legacy``
     Every registered object runs every phase it overrides, every cycle.
-
-``batch``
-    The fast engine plus compiled-schedule fast-forward: when the whole
-    network is provably quiescent, whole stretches of cycles are applied
-    as O(1) closed-form array updates instead of being stepped (see
-    :mod:`repro.sim.batch`).  Gated by the same three-way differential
-    harness; identical ``state_hash`` trajectory at every observation
-    point.
+    The reference oracle the fast engine is checked against.
 
 ``fast`` (default)
     Activity-tracked: a component whose :meth:`SimObject.sim_idle`
@@ -79,6 +72,22 @@ from repro.obs.trace import NULL_RECORDER
 PHASES = ("deliver", "transfer", "inject", "control")
 
 
+class UnknownEngineError(ValueError):
+    """An engine name that is not in :attr:`Simulator.ENGINES` — a
+    configuration error (bad flag or ``REPRO_ENGINE`` value)."""
+
+
+def check_engine(name: str, source: str = "engine") -> str:
+    """Return *name* if it is a known engine, else raise
+    :class:`UnknownEngineError` naming the valid ones; *source* says
+    where the name came from in the message."""
+    if name not in Simulator.ENGINES:
+        raise UnknownEngineError(
+            f"unknown {source} {name!r}; valid engines: "
+            f"{', '.join(Simulator.ENGINES)}")
+    return name
+
+
 def default_engine() -> str:
     """The engine used when a caller does not choose one explicitly.
 
@@ -90,10 +99,7 @@ def default_engine() -> str:
     env = os.environ.get("REPRO_ENGINE", "").strip()
     if not env:
         return "fast"
-    if env not in Simulator.ENGINES:
-        raise ValueError(f"REPRO_ENGINE={env!r} is not one of "
-                         f"{Simulator.ENGINES}")
-    return env
+    return check_engine(env, "REPRO_ENGINE value")
 
 
 class LivelockError(RuntimeError):
@@ -279,18 +285,14 @@ class Simulator:
     engine:
         ``"fast"`` (default) skips sleeping components via the
         activity-tracked scheduler; ``"legacy"`` runs every phase of
-        every object each cycle; ``"batch"`` adds compiled quiescence
-        fast-forward on top of the fast scheduler (see
-        :mod:`repro.sim.batch`).  All produce identical ``state_hash``
+        every object each cycle.  Both produce identical ``state_hash``
         trajectories (see the module docstring).
     """
 
-    ENGINES = ("fast", "legacy", "batch")
+    ENGINES = ("fast", "legacy")
 
     def __init__(self, seed: int = 0, engine: str = "fast") -> None:
-        if engine not in self.ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; "
-                             f"expected one of {self.ENGINES}")
+        check_engine(engine)
         self.cycle: int = 0
         self.rng: np.random.Generator = np.random.default_rng(seed)
         #: fabric-side stream (slot probes, arbitration tie breaks).
@@ -309,16 +311,8 @@ class Simulator:
         self._objects: List[SimObject] = []
         self._end_hooks: List[Callable[[int], None]] = []
         self._sleepables: List[SimObject] = []
-        self._sleep_enabled = engine in ("fast", "batch")
-        self._step = self._step_legacy if engine == "legacy" \
-            else self._step_fast
-        #: batch-engine controller (compiled quiescence fast-forward);
-        #: None for the other engines.  Imported lazily to keep kernel
-        #: importable without the batch package's dependencies.
-        self._batch = None
-        if engine == "batch":
-            from repro.sim.batch.engine import BatchEngine
-            self._batch = BatchEngine(self)
+        self._sleep_enabled = engine == "fast"
+        self._step = self._step_fast if engine == "fast" else self._step_legacy
         # fast-engine awake lists: per-phase lists holding only the
         # objects that must run this cycle (see the module docstring);
         # rebuilt lazily when _wake_pending is set or a sleep occurs
@@ -401,14 +395,6 @@ class Simulator:
         self._sleep_enabled = False
         self._step = self._step_legacy
         self.wake_all()
-
-    def engine_stats(self) -> Optional[Dict]:
-        """Batch-engine introspection counters (skips, vectorized
-        windows, probe hysteresis — see
-        :meth:`repro.sim.batch.engine.BatchEngine.stats`); None when
-        running under the legacy or fast engine, which keep no
-        counters."""
-        return self._batch.stats() if self._batch is not None else None
 
     @property
     def sleeping_objects(self) -> int:
@@ -498,23 +484,9 @@ class Simulator:
         """Run for *cycles* cycles (or until *until()* returns True).
 
         Returns the number of cycles actually executed.
-
-        Under the batch engine (and no *until* predicate — skipping
-        intermediate cycles would change when the predicate is polled),
-        quiescent stretches are fast-forwarded in O(1) jumps and loaded
-        stretches of large meshes step as vectorized whole-network
-        windows; the state reached at every cycle boundary the caller
-        can observe is bit-identical to stepping (see
-        :mod:`repro.sim.batch` and :mod:`repro.sim.batch.stepper`).
         """
         executed = 0
         if until is None:
-            if self._batch is not None:
-                self._batch.run(cycles)
-                executed = cycles
-                for hook in self._end_hooks:
-                    hook(self.cycle)
-                return executed
             for _ in range(cycles):
                 self._step()
             executed = cycles

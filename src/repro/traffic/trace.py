@@ -25,15 +25,12 @@ heterogeneous traffic: circuit-switch eligibility
 trace that drops them replays every scheme as pure packet switching.
 
 Version-1 files (bare event lines, five fields, no header, no meta)
-are rejected by :meth:`MessageTraceRecorder.load` with a clear error;
-pass ``upgrade_legacy=True`` to load them with empty metadata instead
-(correct only for synthetic traffic that never carried meta).
+are rejected by :meth:`MessageTraceRecorder.load` with a clear error.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.network.flit import Message, MessageClass
@@ -125,20 +122,17 @@ class MessageTraceRecorder:
                 fh.write(json.dumps(list(ev)) + "\n")
 
     @staticmethod
-    def load(path: str,
-             upgrade_legacy: bool = False) -> List[TraceEvent]:
+    def load(path: str) -> List[TraceEvent]:
         """Load a versioned trace; see :func:`load_trace`."""
-        events, _header = load_trace(path, upgrade_legacy=upgrade_legacy)
+        events, _header = load_trace(path)
         return events
 
 
-def load_trace(path: str, upgrade_legacy: bool = False):
+def load_trace(path: str):
     """Load *path*, returning ``(events, header)``.
 
     Raises :class:`TraceFormatError` on unversioned (legacy v1) files
-    unless ``upgrade_legacy`` is set, in which case bare 5-field event
-    lines are upgraded in memory with empty metadata, and on files whose
-    version is newer than this reader understands.
+    and on files whose version is newer than this reader understands.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [line for line in fh if line.strip()]
@@ -150,16 +144,9 @@ def load_trace(path: str, upgrade_legacy: bool = False):
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"{path}: not a JSONL trace ({exc})")
     if isinstance(first, list):
-        if not upgrade_legacy:
-            raise TraceFormatError(
-                f"{path}: unversioned legacy trace (no header line). "
-                f"Re-record it, or pass upgrade_legacy=True to load it "
-                f"with empty metadata — heterogeneous traffic loses its "
-                f"gpu/slack annotations that way.")
-        header = {"format": TRACE_FORMAT, "version": 1,
-                  "events": len(lines)}
-        return [_parse_event(path, i, json.loads(line))
-                for i, line in enumerate(lines)], header
+        raise TraceFormatError(
+            f"{path}: unversioned legacy trace (no header line); "
+            f"re-record it.")
     if not isinstance(first, dict) or first.get("format") != TRACE_FORMAT:
         raise TraceFormatError(
             f"{path}: missing {TRACE_FORMAT!r} header "
@@ -190,17 +177,6 @@ def _parse_event(path: str, index: int, raw) -> TraceEvent:
             f"{path}: event {index} meta is not an object: {meta!r}")
     return TraceEvent(int(raw[0]), int(raw[1]), int(raw[2]),
                       int(raw[3]), int(raw[4]), meta)
-
-
-def upgrade_trace(src_path: str, dst_path: str,
-                  info: Optional[Dict] = None) -> int:
-    """Rewrite a legacy (v1) or current trace as version 2; returns the
-    event count.  Legacy events get empty metadata."""
-    events, _header = load_trace(src_path, upgrade_legacy=True)
-    rec = MessageTraceRecorder()
-    rec.events = events
-    rec.save(dst_path, info=info)
-    return len(events)
 
 
 class TraceSource(Endpoint):
@@ -234,8 +210,7 @@ class TraceSource(Endpoint):
 
     def quiescent(self, cycle: int) -> bool:
         # an exhausted source never sends again (events only replay
-        # forward), so the NI may sleep and the batch engine may
-        # fast-forward the post-trace tail
+        # forward), so the NI may sleep through the post-trace tail
         return self._next >= len(self._events)
 
     def on_message(self, msg: Message, cycle: int) -> None:
@@ -264,13 +239,3 @@ def attach_trace_sources(net: Network,
         sources.append(src)
     return sources
 
-
-def __getattr__(name: str):
-    if name == "TraceRecorder":
-        warnings.warn(
-            "repro.traffic.trace.TraceRecorder was renamed "
-            "MessageTraceRecorder (it shadowed the unrelated "
-            "repro.obs.TraceRecorder); update the import",
-            DeprecationWarning, stacklevel=2)
-        return MessageTraceRecorder
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

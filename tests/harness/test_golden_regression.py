@@ -73,18 +73,19 @@ def test_golden_output_is_byte_identical(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output_is_byte_identical_under_batch_engine(
+def test_golden_output_is_byte_identical_under_legacy_engine(
         name, monkeypatch):
-    """The batch engine must regenerate every committed artefact
-    byte-for-byte: the fixtures double as an end-to-end engine-
-    equivalence oracle over the full experiment pipeline (``fig4``'s
-    sweeps, ``fig5``'s energy accounting, ``table3``'s hetero system),
-    which no synthetic verify workload covers in one piece.  The
-    ``REPRO_ENGINE`` override reaches every ``Simulator`` the
-    experiments construct without threading a parameter through them.
+    """The legacy oracle must regenerate every committed artefact
+    byte-for-byte too, so the fixtures are pinned on both engines: they
+    double as an end-to-end engine-equivalence oracle over the full
+    experiment pipeline (``fig4``'s sweeps, ``fig5``'s energy
+    accounting, ``table3``'s hetero system), which no synthetic verify
+    workload covers in one piece.  The ``REPRO_ENGINE`` override
+    reaches every ``Simulator`` the experiments construct without
+    threading a parameter through them.
     """
     monkeypatch.setenv("REPRO_SCALE", PINNED_SCALE)
-    monkeypatch.setenv("REPRO_ENGINE", "batch")
+    monkeypatch.setenv("REPRO_ENGINE", "legacy")
     fixture = GOLDEN_DIR / name
     assert fixture.exists(), (
         f"missing golden fixture {fixture}; regenerate with "
@@ -92,9 +93,9 @@ def test_golden_output_is_byte_identical_under_batch_engine(
     expected = fixture.read_text()
     actual = CASES[name]()
     assert actual == expected, (
-        f"{name} under engine=batch drifted from the committed golden "
-        f"output — the batch engine is not bit-equivalent on this "
-        f"experiment pipeline")
+        f"{name} under engine=legacy drifted from the committed golden "
+        f"output — the fast and legacy engines are not bit-equivalent "
+        f"on this experiment pipeline")
 
 
 def _regenerate() -> None:

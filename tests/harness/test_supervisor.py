@@ -108,6 +108,36 @@ class TestSupervisedSweep:
             resume_sweep(str(tmp_path / "nonexistent"))
 
 
+class _RecordingExecutor(LocalProcessExecutor):
+    """Logs submit/reap/wait_any calls in order.  Point 1 is reported
+    as running until point 2 has been launched, so point 0's exit always
+    frees a slot while another worker is still busy."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+        self._index = {}
+
+    def submit(self, spec):
+        handle = super().submit(spec)
+        self._index[handle] = spec.index
+        self.events.append(("submit", spec.index))
+        return handle
+
+    def poll(self, handle):
+        if self._index[handle] == 1 and ("submit", 2) not in self.events:
+            return WorkerStatus.RUNNING
+        return super().poll(handle)
+
+    def reap(self, handle):
+        self.events.append(("reap", self._index[handle]))
+        super().reap(handle)
+
+    def wait_any(self, handles, timeout):
+        self.events.append(("wait_any",))
+        super().wait_any(handles, timeout)
+
+
 class TestParallelSweep:
     """jobs > 1 must change wall-clock behaviour only — never results."""
 
@@ -119,6 +149,19 @@ class TestParallelSweep:
         for p in pts:
             p.update(overrides)
         return pts
+
+    def test_freed_slot_relaunched_before_next_wait(self, tmp_path):
+        """A slot freed by a worker exit is refilled in the same loop
+        pass, not left empty until the next wake."""
+        executor = _RecordingExecutor()
+        summary = run_supervised_sweep(self._grid(n=3),
+                                       str(tmp_path / "run"), _sup(jobs=2),
+                                       executor=executor)
+        assert summary["completed"] == 3
+        events = executor.events
+        after_exit = events[events.index(("reap", 0)) + 1:]
+        next_call = next(e for e in after_exit if e[0] != "reap")
+        assert next_call == ("submit", 2), events
 
     def test_parallel_matches_serial_results(self, tmp_path):
         pts = self._grid()

@@ -1,7 +1,7 @@
 """Property-based differential testing of the engines (Hypothesis).
 
 For ANY (scheme, mesh side, rate, fault plan, cycle count, stop point,
-seed) the legacy, activity-tracked, and batch engines must agree
+seed) the legacy and activity-tracked engines must agree
 bit-for-bit.  When Hypothesis finds a divergence it shrinks toward the
 smallest workload that still diverges, and the assertion message
 carries the first divergent checkpoint cycle and the diverging engines
@@ -11,7 +11,7 @@ for debugging.
 Fault plans are drawn from a small pool of mild configurations (the
 watchdog interval of 512 cycles exceeds every generated run length, so
 a plan can kill links and stall routers but never aborts the run):
-fault-injected runs are exactly where the optimised engines must fall
+fault-injected runs are exactly where the fast engine must fall
 back to run-everything scheduling, and the property guards that
 fallback too.
 """
@@ -56,7 +56,7 @@ def test_engines_agree_on_random_workloads(scheme, side, rate, cycles,
     report = verify_equivalence(
         scheme, rate=rate, cycles=cycles, interval=max(1, cycles // 4),
         seed=seed, width=side, height=side, slot_table_size=32,
-        stop_cycle=stop_cycle, engines=("legacy", "fast", "batch"),
+        stop_cycle=stop_cycle, engines=("legacy", "fast"),
         faults=fault_plan)
     assert report.ok, (
         f"engines {report.divergent_engines} diverged at cycle "

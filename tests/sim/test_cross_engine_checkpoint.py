@@ -1,13 +1,11 @@
 """Checkpoint portability across engines.
 
 The snapshot protocol captures *simulation* state only — scheduler
-metadata (awake flags, compiled layouts, skip counters) is explicitly
-excluded — so a snapshot taken under any engine must restore under any
-other and continue to an identical trajectory.  These tests drive
-every ordered engine pair through snapshot → restore → re-run and
-require bit-identical hashes and stats, plus the batched-replica
-snapshot case (a replica's snapshot restores both into its set and
-into a standalone simulator).
+metadata (awake flags, awake lists) is explicitly excluded — so a
+snapshot taken under either engine must restore under the other and
+continue to an identical trajectory.  These tests drive both ordered
+engine pairs through snapshot → restore → re-run and require
+bit-identical hashes and stats.
 """
 
 from __future__ import annotations
@@ -17,11 +15,10 @@ import itertools
 import pytest
 
 from repro.harness.runner import prepare_synthetic
-from repro.sim.batch.replica import ReplicaSet
 from repro.sim.checkpoint import (capture_state, reset_id_counters,
                                   restore_state, state_hash)
 
-ENGINES = ("legacy", "fast", "batch")
+ENGINES = ("legacy", "fast")
 
 
 def _build(engine: str, seed: int = 5):
@@ -59,47 +56,10 @@ def test_stats_survive_cross_engine_restore():
     sim_a, net_a = _build("legacy")
     sim_a.run(300)
     snap = capture_state(sim_a, net_a)
-    sim_b, net_b = _build("batch")
+    sim_b, net_b = _build("fast")
     restore_state(sim_b, net_b, snap)
     assert net_b.messages_delivered == net_a.messages_delivered
     assert net_b.packets_ejected == net_a.packets_ejected
     assert net_b.flits_ejected == net_a.flits_ejected
     assert net_b.ledger.as_dict() == net_a.ledger.as_dict()
 
-
-def test_replica_snapshot_restores_into_set_and_standalone():
-    seeds = [5, 9]
-    rs = ReplicaSet.synthetic("hybrid_tdm_vc4", "uniform_random", 0.15,
-                              seeds, width=4, height=4,
-                              slot_table_size=32, stop_cycle=250)
-    rs.run(200, chunk=100)
-    snap = rs.snapshot(1)
-    rs.run(200, chunk=100)
-    h_final = rs.hashes()[1]
-
-    # restore back into the original set and re-run: same end state
-    # (replica 0 keeps advancing past its sibling — the banked id
-    # allocators keep them independent)
-    rs.restore(1, snap)
-    rs.run(200, chunk=100)
-    assert rs.hashes()[1] == h_final
-
-    # into a fresh single-replica set
-    rs2 = ReplicaSet.synthetic("hybrid_tdm_vc4", "uniform_random", 0.15,
-                               [seeds[1]], width=4, height=4,
-                               slot_table_size=32, stop_cycle=250)
-    rs2.restore(0, snap)
-    rs2.run(200, chunk=100)
-    assert rs2.hashes()[0] == h_final
-
-    # and into a standalone simulator under a different engine
-    reset_id_counters()
-    sim, net, sources = prepare_synthetic(
-        "hybrid_tdm_vc4", "uniform_random", 0.15, seed=seeds[1],
-        width=4, height=4, slot_table_size=32, engine="legacy")
-    for src in sources:
-        src.stop_cycle = 250
-    restore_state(sim, net, snap)
-    for _ in range(2):
-        sim.run(100)
-    assert state_hash(capture_state(sim, net)) == h_final

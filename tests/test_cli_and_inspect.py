@@ -104,6 +104,30 @@ class TestCLI:
         assert rc == 0
         assert "PASS packet_vc4" in capsys.readouterr().out
 
+    def test_verify_equivalence_rejects_unknown_engine(self, capsys):
+        from repro.cli import EXIT_CONFIG
+        rc = main(["verify-equivalence", "--engines", "legacy,bogus",
+                   "--schemes", "packet_vc4"])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert err == ["error: unknown engine 'bogus'; "
+                       "valid engines: fast, legacy"]
+        assert "PASS" not in captured.out   # rejected before any run
+
+    @pytest.mark.parametrize("name", ["bogus", "batch"])
+    def test_run_rejects_unknown_engine_env(self, capsys, monkeypatch,
+                                            name):
+        from repro.cli import EXIT_CONFIG
+        monkeypatch.setenv("REPRO_ENGINE", name)
+        rc = main(["run", "packet_vc4", "--width", "3", "--height", "3",
+                   "--warmup", "10", "--measure", "10"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"REPRO_ENGINE value {name!r}" in err[0]
+        assert "valid engines: fast, legacy" in err[0]
+
     def test_supervised_sweep_requires_run_dir(self, capsys):
         rc = main(["sweep", "neighbor", "--supervised"])
         assert rc == 2

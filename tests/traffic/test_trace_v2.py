@@ -1,4 +1,4 @@
-"""Trace format v2: versioned header, metadata round-trip, upgrades."""
+"""Trace format v2: versioned header, metadata round-trip."""
 
 import json
 
@@ -11,7 +11,6 @@ from repro.traffic import (
     TraceFormatError,
     attach_trace_sources,
     load_trace,
-    upgrade_trace,
 )
 from repro.traffic.trace import TRACE_FORMAT, TRACE_VERSION, TraceSource
 
@@ -70,22 +69,6 @@ class TestVersionedHeader:
         path.write_text("[3, 0, 1, 0, 5]\n[7, 1, 0, 0, 5]\n")
         with pytest.raises(TraceFormatError, match="unversioned legacy"):
             load_trace(str(path))
-
-    def test_legacy_file_upgradable(self, tmp_path):
-        path = tmp_path / "legacy.jsonl"
-        path.write_text("[3, 0, 1, 0, 5]\n")
-        events, header = load_trace(str(path), upgrade_legacy=True)
-        assert events == [TraceEvent(3, 0, 1, 0, 5, {})]
-        assert header["version"] == 1
-
-    def test_upgrade_trace_rewrites_as_v2(self, tmp_path):
-        src = tmp_path / "legacy.jsonl"
-        src.write_text("[3, 0, 1, 0, 5]\n")
-        dst = str(tmp_path / "v2.jsonl")
-        assert upgrade_trace(str(src), dst) == 1
-        events, header = load_trace(dst)
-        assert header["version"] == TRACE_VERSION
-        assert events[0].meta == {}
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "garbage.jsonl"
@@ -153,12 +136,3 @@ class TestTraceSourceStamping:
         assert clone._next == 2 and clone.messages_received == 4
         assert not clone.exhausted
 
-
-class TestDeprecatedAlias:
-    def test_trace_recorder_alias_warns(self):
-        import repro.traffic as traffic
-        import repro.traffic.trace as trace_mod
-        for mod in (traffic, trace_mod):
-            with pytest.warns(DeprecationWarning, match="MessageTrace"):
-                cls = mod.TraceRecorder
-            assert cls is MessageTraceRecorder

@@ -38,6 +38,13 @@ def _fig4_small() -> str:
                             rates=(0.1, 0.3), seed=1).text
 
 
+def _fig4_sdm_small() -> str:
+    from repro.harness import experiments
+    return experiments.fig4(patterns=("uniform_random",),
+                            schemes=("packet_vc4", "hybrid_sdm_vc4"),
+                            rates=(0.1, 0.3), seed=1).text
+
+
 def _fig5_small() -> str:
     from repro.harness import experiments
     return experiments.fig5(patterns=("tornado",), rates=(0.15,),
@@ -52,6 +59,7 @@ def _table3_small() -> str:
 
 CASES = {
     "fig4_small.txt": _fig4_small,
+    "fig4_sdm_small.txt": _fig4_sdm_small,
     "fig5_small.txt": _fig5_small,
     "table3_small.txt": _table3_small,
 }

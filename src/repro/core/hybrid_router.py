@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.config import NetworkConfig
 from repro.core.slot_table import RouterSlotState, SlotClock
-from repro.network.flit import ConfigType, Flit, FlitKind, MessageClass
+from repro.network.flit import ConfigType, Flit, MessageClass
 from repro.network.router import PacketRouter
 from repro.network.topology import LOCAL, Mesh, NUM_PORTS
 
@@ -48,6 +48,7 @@ class HybridRouter(PacketRouter):
                  clock: SlotClock) -> None:
         super().__init__(node, cfg, mesh)
         self.clock = clock
+        #: the shared switch allocator reads its output slot-owner rows
         self.slot_state = RouterSlotState(clock, cfg.slot_table.reserve_cap)
         self.dlt = None                      # node DLT (sharing enabled)
         #: manager callback for setups this router rejects
@@ -59,8 +60,6 @@ class HybridRouter(PacketRouter):
         #: full path at this router (terminal hop)
         self.on_teardown_done: Optional[Callable] = None
         self._cs_inject: Dict[int, List[CSInjection]] = {}
-        self._cs_in_used = [False] * NUM_PORTS
-        self._cs_out_used = [False] * NUM_PORTS
         #: True while any crossbar-usage flag is set — lets transfer skip
         #: the per-port reset loops on circuit-free cycles (derived from
         #: the flag lists, recomputed on restore, never snapshot state)
@@ -70,6 +69,13 @@ class HybridRouter(PacketRouter):
     # phases
     # ------------------------------------------------------------------
     def transfer(self, cycle: int) -> None:
+        if cycle < self.stalled_until:
+            # a frozen pipeline takes no circuit injection: the ones
+            # falling due now fail over to packet switching
+            for inj in self._cs_inject.pop(cycle, ()):
+                if not inj.token.get("cancelled"):
+                    inj.on_fail(inj.flit)
+            return
         if self._cs_flags_dirty:
             cs_in = self._cs_in_used
             cs_out = self._cs_out_used
@@ -77,37 +83,7 @@ class HybridRouter(PacketRouter):
                 cs_in[i] = False
                 cs_out[i] = False
             self._cs_flags_dirty = False
-        # arrival demux fused in place of _process_arrivals/_demux_arrival:
-        # the packet-switched buffer write (the overwhelmingly common case
-        # on a loaded epoch) runs without any per-flit call; circuit flits
-        # and fault-killed packets take the method paths
-        arrivals = self._arrivals
-        counts = self.counters._counts
-        in_ports = self.in_ports
-        port_buffered = self._port_buffered
-        pipe_lat = self.rcfg.ps_pipeline_latency
-        for inport in range(NUM_PORTS):
-            staged = arrivals[inport]
-            if not staged:
-                continue
-            for flit in staged:
-                counts["slot_read"] = counts.get("slot_read", 0) + 1
-                if flit.is_circuit:
-                    self._demux_circuit(inport, flit, cycle)
-                elif flit.packet.dropped:
-                    self._buffer_write(inport, flit, cycle)
-                else:
-                    vcobj = in_ports[inport].vcs[flit.vc]
-                    fifo = vcobj.fifo
-                    if len(fifo) >= vcobj.depth:
-                        raise OverflowError(
-                            "VC buffer overflow: credit protocol violated")
-                    fifo.append(flit)
-                    flit.ready_cycle = cycle + pipe_lat
-                    self._buffered_flits += 1
-                    port_buffered[inport] += 1
-                    counts["buffer_write"] = counts.get("buffer_write", 0) + 1
-            staged.clear()
+        self._write_arrivals(cycle)
         if self._cs_inject:
             self._process_cs_injections(cycle)
         if self._buffered_flits:
@@ -129,18 +105,9 @@ class HybridRouter(PacketRouter):
     # ------------------------------------------------------------------
     # circuit-switched datapath
     # ------------------------------------------------------------------
-    def _demux_arrival(self, inport: int, flit: Flit, cycle: int) -> None:
-        # "For each incoming flit, the router looks up the slot table"
-        # (Section II) — the demux lookup is paid by every arrival
-        counts = self.counters._counts
-        counts["slot_read"] = counts.get("slot_read", 0) + 1
-        if not flit.is_circuit:
-            self._buffer_write(inport, flit, cycle)
-            return
-        self._demux_circuit(inport, flit, cycle)
-
     def _demux_circuit(self, inport: int, flit: Flit, cycle: int) -> None:
-        """Circuit-arrival leg of the demux (slot_read already counted)."""
+        """Circuit-arrival leg of the slot-table demux (the slot read is
+        counted by ``_write_arrivals``)."""
         slot = self.clock.slot(cycle)
         hit = self.slot_state.lookup_in(inport, slot)
         if hit is not None:
@@ -300,151 +267,6 @@ class HybridRouter(PacketRouter):
             cycle: [CSInjection(flit, exp, *ni.make_cs_callbacks(token), token)
                     for flit, exp, token in entries]
             for cycle, entries in raw.items()}
-
-    # ------------------------------------------------------------------
-    # packet pipeline interaction (time-slot stealing)
-    # ------------------------------------------------------------------
-    def _sa_st(self, cycle: int) -> None:
-        """Fused switch allocation + traversal for the hybrid hot path.
-
-        Behaviour-identical copy of ``PacketRouter._sa_st`` with the
-        hybrid hooks (``_out_blocked_for_ps``, steal accounting in
-        ``_traverse``) and the per-winner helpers (``_sa_pick``, the base
-        traversal, the credit/link sends) inlined — this loop and the
-        arrival demux above are where a loaded epoch spends its time.
-        The hook methods below are kept both as documentation of the
-        protocol and for any caller going through the base allocator;
-        the differential-equivalence harness pins the two code paths to
-        identical state trajectories.
-        """
-        owned = self._owned_out
-        out_links = self.out_links
-        cs_out = self._cs_out_used
-        out_owner = self.slot_state.out_owner
-        slot = cycle % self.clock.active
-        stealing = self.cfg.circuit.slot_stealing
-        in_ports = self.in_ports
-        total_vcs = self.total_vcs
-        sa_ptr = self._sa_ptr
-        mod = NUM_PORTS * total_vcs
-        counts = self.counters._counts
-        gating = self.gating
-        used_in = None
-        for outport in range(NUM_PORTS):
-            if not owned[outport] or out_links[outport] is None:
-                continue
-            # _out_blocked_for_ps, inlined
-            if cs_out[outport]:
-                continue
-            reserved = out_owner[outport][slot] != -1
-            if reserved and not stealing:
-                continue
-            if used_in is None:
-                # _cs_used_inports, inlined: copy the circuit-usage
-                # flags into the reusable scratch list
-                used_in = self._used_in_scratch
-                cs_in = self._cs_in_used
-                for i in range(NUM_PORTS):
-                    used_in[i] = cs_in[i]
-            # _sa_pick, inlined: single-pass round-robin arbitration
-            owners = self.out_vc_owner[outport]
-            credits = self.credits[outport]
-            ptr = sa_ptr[outport]
-            winner = None
-            winner_key = mod
-            n_candidates = 0
-            for ovc in range(total_vcs):
-                owner = owners[ovc]
-                if owner is None or credits[ovc] <= 0:
-                    continue
-                inport, invc = owner
-                if used_in[inport]:
-                    continue
-                vfifo = in_ports[inport].vcs[invc].fifo
-                if not vfifo or cycle < vfifo[0].ready_cycle:
-                    continue
-                n_candidates += 1
-                key = (inport * total_vcs + invc - ptr) % mod
-                if key < winner_key:
-                    winner_key = key
-                    winner = (inport, invc, ovc)
-            if winner is None:
-                continue
-            counts["sw_arb"] = counts.get("sw_arb", 0) + 1
-            inport, invc, ovc = winner
-            if n_candidates > 1:
-                # pointer only advances on a real multi-way arbitration
-                sa_ptr[outport] = inport * total_vcs + invc + 1
-            used_in[inport] = True
-            # _traverse, inlined (with the hybrid steal accounting)
-            if reserved:
-                counts["slot_steal"] = counts.get("slot_steal", 0) + 1
-                if self.obs.enabled:
-                    self.obs.slot_steal(cycle, self._obs_track,
-                                        outport, slot)
-            vcobj = in_ports[inport].vcs[invc]
-            flit = vcobj.fifo.popleft()
-            self._buffered_flits -= 1
-            self._port_buffered[inport] -= 1
-            counts["buffer_read"] = counts.get("buffer_read", 0) + 1
-            counts["xbar"] = counts.get("xbar", 0) + 1
-            if gating is not None:
-                wait = cycle - flit.ready_cycle
-                self._qdelay_accum += max(0, wait)
-                self._qdelay_samples += 1
-            clink = self.credit_out[inport]
-            if clink is not None:
-                clink._pipe.append((cycle + clink.latency, invc))
-                ws = clink.wake_sink
-                if ws is not None and not ws._sim_awake:
-                    ws.sim_wake()
-            flit.vc = ovc
-            if outport != LOCAL:
-                credits[ovc] -= 1
-                counts["link"] = counts.get("link", 0) + 1
-            flit.packet.hops_taken += 1
-            kind = flit.kind
-            if kind is FlitKind.TAIL or kind is FlitKind.HEAD_TAIL:
-                owners[ovc] = None
-                owned[outport] -= 1
-                vcobj.route_outport = None
-                vcobj.out_vc = None
-            ol = out_links[outport]
-            if ol.faulty:
-                ol.send(flit, cycle)    # slow path keeps drop accounting
-            else:
-                ol._pipe.append((cycle + ol.latency, flit))
-                ol.flits_carried += 1
-                ws = ol.wake_sink
-                if ws is not None and not ws._sim_awake:
-                    ws.sim_wake()
-
-    def _cs_used_inports(self, cycle: int) -> List[bool]:
-        scratch = self._used_in_scratch
-        cs = self._cs_in_used
-        for i in range(NUM_PORTS):
-            scratch[i] = cs[i]
-        return scratch
-
-    def _out_blocked_for_ps(self, outport: int, cycle: int) -> bool:
-        if self._cs_out_used[outport]:
-            return True
-        slot = self.clock.slot(cycle)
-        if self.slot_state.output_reserved(outport, slot):
-            if self.cfg.circuit.slot_stealing:
-                return False        # reserved but idle: stealable
-            return True
-        return False
-
-    def _traverse(self, outport: int, inport: int, invc: int, ovc: int,
-                  cycle: int) -> None:
-        # count actual steals: a PS traversal in a reserved-but-idle slot
-        slot = self.clock.slot(cycle)
-        if self.slot_state.output_reserved(outport, slot):
-            self.counters.inc("slot_steal")
-            if self.obs.enabled:
-                self.obs.slot_steal(cycle, self._obs_track, outport, slot)
-        super()._traverse(outport, inport, invc, ovc, cycle)
 
     # ------------------------------------------------------------------
     # configuration-message processing (Section II-B)

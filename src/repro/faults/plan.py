@@ -168,9 +168,9 @@ class FaultInjector(SimObject):
     def _corrupt_slot(self, cycle: int) -> None:
         routers = self.net.routers
         r = routers[int(self.rng.integers(len(routers)))]
-        st = getattr(r, "slot_state", None)
+        st = r.slot_state
         if st is None:
-            return      # packet-switched router: no slot tables
+            return      # packet or SDM router: no slot tables
         inport = int(self.rng.integers(len(st.in_tables)))
         table = st.in_tables[inport]
         slot = int(self.rng.integers(st.clock.active))

@@ -16,7 +16,7 @@ from repro.network.topology import NUM_PORTS, PORT_NAMES
 def slot_table_dump(net: Network, node: int, max_slots: int = 32) -> str:
     """Render one router's slot tables (valid/outport per input port)."""
     router = net.router(node)
-    if not hasattr(router, "slot_state"):
+    if router.slot_state is None:
         return f"router {node}: no slot tables (packet-switched router)"
     active = net.clock.active
     shown = min(active, max_slots)

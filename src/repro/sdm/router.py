@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.config import CACHE_LINE_BYTES, NetworkConfig
 from repro.network.buffers import InputPort
-from repro.network.flit import ConfigType, Flit, MessageClass
+from repro.network.flit import ConfigType, Flit, FlitKind, MessageClass
 from repro.network.router import EJECT_CREDITS, PacketRouter
 from repro.network.topology import LOCAL, Mesh, NUM_PORTS
 
@@ -59,6 +59,9 @@ class SDMRouter(PacketRouter):
         self.credits = [[0] * self.total_vcs for _ in range(NUM_PORTS)]
         self.out_vc_owner = [[None] * self.total_vcs for _ in range(NUM_PORTS)]
         self._sa_ptr = [0] * (NUM_PORTS * self.planes)
+        # VC allocation keeps a packet on its plane: a data VC of plane p
+        # claims a downstream VC in p's range
+        self._va_base = [vc // v * v for vc in range(self.total_vcs)]
 
         # circuit state
         self.cs_route: List[List[int]] = [
@@ -69,10 +72,14 @@ class SDMRouter(PacketRouter):
             [False] * self.planes for _ in range(NUM_PORTS)]
         self._cs_out_used: List[List[bool]] = [
             [False] * self.planes for _ in range(NUM_PORTS)]
+        #: True while any plane-usage flag is set (derived from the flag
+        #: lists, recomputed on restore, never snapshot state)
+        self._cs_flags_dirty = False
+        self._no_planes = [False] * self.planes
+        self._used_in_scratch = [[False] * self.planes
+                                 for _ in range(NUM_PORTS)]
         self._cs_inject: Dict[int, List] = {}
         self.on_setup_rejected: Optional[Callable] = None
-        # transient (rebuilt on restore): per-outport owned-VC counts
-        self._owned_out = [0] * NUM_PORTS
 
     # ------------------------------------------------------------------
     def connect_output(self, outport, link, credit_from, downstream,
@@ -93,40 +100,40 @@ class SDMRouter(PacketRouter):
     # phases
     # ------------------------------------------------------------------
     def transfer(self, cycle: int) -> None:
-        for p in range(NUM_PORTS):
-            for pl in range(self.planes):
-                self._cs_in_used[p][pl] = False
-                self._cs_out_used[p][pl] = False
-        self._process_arrivals(cycle)
-        self._process_cs_injections(cycle)
+        if cycle < self.stalled_until:
+            # a frozen pipeline takes no circuit injection: the ones
+            # falling due now fail over to packet switching
+            for flit, _ok, on_fail, token in self._cs_inject.pop(cycle, ()):
+                if not token.get("cancelled"):
+                    on_fail(flit)
+            return
+        if self._cs_flags_dirty:
+            cleared = self._no_planes
+            for row in self._cs_in_used:
+                row[:] = cleared
+            for row in self._cs_out_used:
+                row[:] = cleared
+            self._cs_flags_dirty = False
+        self._write_arrivals(cycle)
+        if self._cs_inject:
+            self._process_cs_injections(cycle)
         if self._buffered_flits:
             self._route_and_va(cycle)
             self._sa_st(cycle)
-        if self.gating is not None:
-            self._sample_utilisation()
 
     def sim_idle(self, cycle: int) -> bool:
         """Idle iff the packet pipeline is idle and no circuit activity is
         pending.  The plane-usage flags are reset at the *start* of the
         next :meth:`transfer`, so a router that carried circuit traffic
         this cycle stays awake one extra cycle to run that reset."""
-        if self._cs_inject:
+        if self._cs_inject or self._cs_flags_dirty:
             return False
-        for row in self._cs_in_used:
-            if True in row:
-                return False
-        for row in self._cs_out_used:
-            if True in row:
-                return False
         return PacketRouter.sim_idle(self, cycle)
 
     # ------------------------------------------------------------------
     # circuit datapath
     # ------------------------------------------------------------------
-    def _demux_arrival(self, inport: int, flit: Flit, cycle: int) -> None:
-        if not flit.is_circuit:
-            self._buffer_write(inport, flit, cycle)
-            return
+    def _demux_circuit(self, inport: int, flit: Flit, cycle: int) -> None:
         plane = flit.packet.plane
         outport = self.cs_route[inport][plane]
         if outport < 0:
@@ -144,6 +151,7 @@ class SDMRouter(PacketRouter):
     def _cs_traverse(self, inport: int, outport: int, plane: int,
                      flit: Flit, cycle: int, orphan: bool = False) -> None:
         self._cs_in_used[inport][plane] = True
+        self._cs_flags_dirty = True
         if not orphan:
             self._cs_out_used[outport][plane] = True
         self.counters.inc("cs_xbar")
@@ -200,6 +208,8 @@ class SDMRouter(PacketRouter):
         self.plane_owner = [list(row) for row in state["plane_owner"]]
         self._cs_in_used = [list(row) for row in state["cs_in_used"]]
         self._cs_out_used = [list(row) for row in state["cs_out_used"]]
+        self._cs_flags_dirty = any(True in row for row in self._cs_in_used
+                                   + self._cs_out_used)
         self._cs_inject_raw = state["cs_inject"]
         self._cs_inject = {}
 
@@ -214,134 +224,117 @@ class SDMRouter(PacketRouter):
             for cycle, entries in raw.items()}
 
     # ------------------------------------------------------------------
-    # plane-aware VC allocation
-    # ------------------------------------------------------------------
-    def _allocate_out_vc(self, outport: int, is_config: bool,
-                         plane: int = 0) -> Optional[int]:
-        owners = self.out_vc_owner[outport]
-        if is_config:
-            ovc = self.config_vc
-            return ovc if owners[ovc] is None else None
-        v = self.rcfg.num_vcs
-        base = plane * v
-        for ovc in range(base, base + v):
-            if owners[ovc] is None:
-                return ovc
-        return None
-
-    def _route_and_va(self, cycle: int) -> None:
-        for inport in range(NUM_PORTS):
-            port = self.in_ports[inport]
-            for invc, vcobj in enumerate(port.vcs):
-                if vcobj.out_vc is not None or not vcobj.fifo:
-                    continue
-                head = vcobj.fifo[0]
-                if not head.is_head or cycle < head.ready_cycle:
-                    continue
-                if vcobj.route_outport is None:
-                    out = self._compute_route(inport, head, cycle)
-                    if out is None:
-                        vcobj.pop()
-                        self._buffered_flits -= 1
-                        self._return_credit(inport, invc, cycle)
-                        continue
-                    vcobj.route_outport = out
-                is_config = invc == port.config_vc_index
-                plane = 0 if is_config else self.plane_of_vc(invc)
-                ovc = self._allocate_out_vc(vcobj.route_outport, is_config,
-                                            plane)
-                if ovc is not None:
-                    vcobj.out_vc = ovc
-                    self.out_vc_owner[vcobj.route_outport][ovc] = (inport, invc)
-                    self._owned_out[vcobj.route_outport] += 1
-                    self.counters.inc("vc_arb")
-
-    # ------------------------------------------------------------------
-    # plane-parallel switch allocation
+    # plane-parallel switch allocation + traversal
     # ------------------------------------------------------------------
     def _sa_st(self, cycle: int) -> None:
+        """Up to one grant per (output port, plane) plus one on the config
+        escape slice, with the input-side constraint per (input port,
+        plane); traversal is inlined.
+
+        PS stealing of idle circuit planes is implicit: a plane is only
+        skipped when a circuit flit actually used it this cycle.  The
+        config slice neither checks nor claims a plane input.
+        """
         owned = self._owned_out
+        out_links = self.out_links
+        in_ports = self.in_ports
+        planes = self.planes
+        v = self.rcfg.num_vcs
+        config_vc = self.config_vc
+        total_vcs = self.total_vcs
+        sa_ptr = self._sa_ptr
+        mod = NUM_PORTS * total_vcs
+        port_buffered = self._port_buffered
+        counts = self.counters._counts
         used_in = None
-        # config escape slice: one grant per outport per cycle
         for outport in range(NUM_PORTS):
-            if not owned[outport] or self.out_links[outport] is None:
+            if not owned[outport] or out_links[outport] is None:
                 continue
             if used_in is None:
-                used_in = [row[:] for row in self._cs_in_used]
-            self._sa_config(outport, cycle)
-            for plane in range(self.planes):
-                if self._cs_out_used[outport][plane]:
-                    continue
-                winner = self._sa_pick_plane(outport, plane, used_in, cycle)
-                if winner is None:
-                    continue
-                inport, invc, ovc = winner
-                used_in[inport][plane] = True
-                self._traverse(outport, inport, invc, ovc, cycle)
-
-    def _sa_config(self, outport: int, cycle: int) -> None:
-        ovc = self.config_vc
-        owner = self.out_vc_owner[outport][ovc]
-        if owner is None or self.credits[outport][ovc] <= 0:
-            return
-        inport, invc = owner
-        vcobj = self.in_ports[inport].vcs[invc]
-        flit = vcobj.front()
-        if flit is None or cycle < flit.ready_cycle:
-            return
-        self.counters.inc("sw_arb")
-        self._traverse(outport, inport, invc, ovc, cycle)
-
-    def _sa_pick_plane(self, outport: int, plane: int, used_in, cycle: int):
-        v = self.rcfg.num_vcs
-        base = plane * v
-        owners = self.out_vc_owner[outport]
-        credits = self.credits[outport]
-        candidates = []
-        for ovc in range(base, base + v):
-            owner = owners[ovc]
-            if owner is None or credits[ovc] <= 0:
-                continue
-            inport, invc = owner
-            if used_in[inport][plane]:
-                continue
-            vcobj = self.in_ports[inport].vcs[invc]
-            flit = vcobj.front()
-            if flit is None or cycle < flit.ready_cycle:
-                continue
-            candidates.append((inport, invc, ovc))
-        if not candidates:
-            return None
-        self.counters.inc("sw_arb")
-        if len(candidates) == 1:
-            return candidates[0]
-        key_idx = outport * self.planes + plane
-        ptr = self._sa_ptr[key_idx]
-        n = NUM_PORTS * self.total_vcs
-        winner = min(candidates,
-                     key=lambda c: (c[0] * self.total_vcs + c[1] - ptr) % n)
-        self._sa_ptr[key_idx] = winner[0] * self.total_vcs + winner[1] + 1
-        return winner
-
-    def _traverse(self, outport: int, inport: int, invc: int, ovc: int,
-                  cycle: int) -> None:
-        # narrow-flit link accounting (1/planes of a full-width traversal)
-        vcobj = self.in_ports[inport].vcs[invc]
-        flit = vcobj.pop()
-        self._buffered_flits -= 1
-        self.counters.inc("buffer_read")
-        self.counters.inc("xbar")
-        self._return_credit(inport, invc, cycle)
-        flit.vc = ovc
-        if outport != LOCAL:
-            self.credits[outport][ovc] -= 1
-            self.counters.inc("link_narrow")
-        flit.packet.hops_taken += 1
-        if flit.is_tail:
-            self.out_vc_owner[outport][ovc] = None
-            self._owned_out[outport] -= 1
-            vcobj.clear_route()
-        self.out_links[outport].send(flit, cycle)
+                used_in = self._used_in_scratch
+                for i, row in enumerate(self._cs_in_used):
+                    used_in[i][:] = row
+            owners = self.out_vc_owner[outport]
+            credits = self.credits[outport]
+            cs_out = self._cs_out_used[outport]
+            # slice -1 is the config escape VC, slices 0.. the planes
+            for plane in range(-1, planes):
+                if plane < 0:
+                    ovc = config_vc
+                    owner = owners[ovc]
+                    if owner is None or credits[ovc] <= 0:
+                        continue
+                    inport, invc = owner
+                    vfifo = in_ports[inport].vcs[invc].fifo
+                    if not vfifo or cycle < vfifo[0].ready_cycle:
+                        continue
+                else:
+                    if cs_out[plane]:
+                        continue
+                    # single-pass round-robin pick within the plane
+                    ptr_idx = outport * planes + plane
+                    ptr = sa_ptr[ptr_idx]
+                    owner = None
+                    winner_key = mod
+                    n_candidates = 0
+                    base = plane * v
+                    for cand in range(base, base + v):
+                        o = owners[cand]
+                        if o is None or credits[cand] <= 0:
+                            continue
+                        inport, invc = o
+                        if used_in[inport][plane]:
+                            continue
+                        vfifo = in_ports[inport].vcs[invc].fifo
+                        if not vfifo or cycle < vfifo[0].ready_cycle:
+                            continue
+                        n_candidates += 1
+                        key = (inport * total_vcs + invc - ptr) % mod
+                        if key < winner_key:
+                            winner_key = key
+                            owner = o
+                            ovc = cand
+                    if owner is None:
+                        continue
+                    inport, invc = owner
+                    if n_candidates > 1:
+                        sa_ptr[ptr_idx] = inport * total_vcs + invc + 1
+                    used_in[inport][plane] = True
+                counts["sw_arb"] = counts.get("sw_arb", 0) + 1
+                # traversal: narrow-flit link accounting (1/planes of a
+                # full-width traversal)
+                vcobj = in_ports[inport].vcs[invc]
+                flit = vcobj.fifo.popleft()
+                self._buffered_flits -= 1
+                port_buffered[inport] -= 1
+                counts["buffer_read"] = counts.get("buffer_read", 0) + 1
+                counts["xbar"] = counts.get("xbar", 0) + 1
+                clink = self.credit_out[inport]
+                if clink is not None:
+                    clink._pipe.append((cycle + clink.latency, invc))
+                    ws = clink.wake_sink
+                    if ws is not None and not ws._sim_awake:
+                        ws.sim_wake()
+                flit.vc = ovc
+                if outport != LOCAL:
+                    credits[ovc] -= 1
+                    counts["link_narrow"] = counts.get("link_narrow", 0) + 1
+                flit.packet.hops_taken += 1
+                kind = flit.kind
+                if kind is FlitKind.TAIL or kind is FlitKind.HEAD_TAIL:
+                    owners[ovc] = None
+                    owned[outport] -= 1
+                    vcobj.route_outport = None
+                    vcobj.out_vc = None
+                ol = out_links[outport]
+                if ol.faulty:
+                    ol.send(flit, cycle)    # slow path keeps drop accounting
+                else:
+                    ol._pipe.append((cycle + ol.latency, flit))
+                    ol.flits_carried += 1
+                    ws = ol.wake_sink
+                    if ws is not None and not ws._sim_awake:
+                        ws.sim_wake()
 
     # ------------------------------------------------------------------
     # configuration processing: plane reservation
@@ -401,14 +394,6 @@ class SDMRouter(PacketRouter):
         if outport == LOCAL:
             return None
         return outport
-
-    # ------------------------------------------------------------------
-    # PS stealing of idle circuit planes is implicit: `_sa_pick_plane`
-    # only skips a plane when a circuit flit actually used it this cycle.
-    # ------------------------------------------------------------------
-
-    def _sample_utilisation(self) -> None:  # pragma: no cover - SDM has no
-        pass                                # VC gating in the paper's eval
 
 
 class _PlanedInputPort(InputPort):

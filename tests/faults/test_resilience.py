@@ -21,6 +21,7 @@ import pytest
 
 from repro.config import scheme_config
 from repro.core.circuit import ConnState
+from repro.core.decision import always_circuit
 from repro.network.flit import Message, MessageClass
 from repro.network.network import build_network
 from repro.network.topology import EAST
@@ -196,8 +197,10 @@ class TestFaultAwareRouting:
 
 # ---------------------------------------------------------------------------
 class TestWatchdog:
-    def test_stalled_network_raises_livelock_error(self):
-        cfg = scheme_config("packet_vc4", width=4, height=4)
+    @pytest.mark.parametrize("scheme", ["packet_vc4", "hybrid_tdm_vc4",
+                                        "hybrid_sdm_vc4"])
+    def test_stalled_network_raises_livelock_error(self, scheme):
+        cfg = scheme_config(scheme, width=4, height=4)
         cfg = replace(cfg, faults=replace(
             cfg.faults, enabled=True, watchdog=True,
             watchdog_interval=32, watchdog_patience=2))
@@ -214,6 +217,27 @@ class TestWatchdog:
         # check@32 sets the baseline, stalled checks at 64 and 96 -> raise
         assert exc.value.cycle == 96
         assert exc.value.in_flight > 0
+
+    @pytest.mark.parametrize("scheme", ["hybrid_tdm_vc4",
+                                        "hybrid_sdm_vc4"])
+    def test_circuit_injection_due_in_a_stall_fails_over(self, scheme):
+        """A stalled router takes no circuit flit: the injection falls
+        back to packet switching instead of staying scheduled."""
+        sim = Simulator(seed=1)
+        net = build_network(scheme_config(scheme, width=4, height=4), sim)
+        net.managers[0].decision_fn = always_circuit()
+        assert setup_connection(sim, net, 0, 3).state is ConnState.ACTIVE
+        router = net.router(0)
+        net.ni(0).send(Message(src=0, dst=3, mclass=MessageClass.DATA,
+                               size_flits=5, create_cycle=sim.cycle))
+        assert router._cs_inject
+        router.stalled_until = max(router._cs_inject) + 1
+        sim.run(router.stalled_until - sim.cycle)
+        assert not router._cs_inject
+        assert net.ni(0).counters["cs_fallback"] == 1
+        sim.run(300)
+        assert net.messages_delivered == 1
+        assert net.audit_conservation() is None
 
     def test_healthy_run_never_trips_watchdog(self):
         cfg = scheme_config("packet_vc4", width=4, height=4)

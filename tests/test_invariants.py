@@ -7,12 +7,16 @@ These are the heavyweight guarantees of the simulator:
 * credit restoration — flow-control state returns to its initial value
   when the network empties;
 * slot-table consistency — input tables and output-owner maps never
-  disagree, even through setups, teardowns, failures and resizes.
+  disagree, even through setups, teardowns, failures and resizes;
+* flit conservation — the shared ledger balances (injected = ejected +
+  consumed + dropped + in the fabric) on every scheme, mid-run and after
+  drain.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.config import SCHEMES as ALL_SCHEMES
 from repro.network.topology import NUM_PORTS
 
 from tests.conftest import build, drain, run_traffic
@@ -37,6 +41,20 @@ def test_message_conservation(scheme, pattern, rate, seed):
     generated = sum(s.messages_generated for s in sources)
     received = sum(s.messages_received for s in sources)
     assert received == generated
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_flit_ledger_balances_during_run_and_after_drain(scheme):
+    """Circuit injections, consumed configuration packets and
+    circuit-to-packet fallbacks all reach the conservation ledger."""
+    sim, net, _ = run_traffic(scheme, "uniform_random", rate=0.45,
+                              warmup=0, measure=0, width=6, height=6)
+    for _ in range(5):
+        sim.run(300)
+        assert net.audit_conservation() is None
+    assert net.ledger.injected > 0
+    assert drain(sim, net, max_cycles=20_000)
+    assert net.audit_conservation() is None
 
 
 @light

@@ -276,8 +276,8 @@ class SupervisorConfig:
     backoff_cap_s: float = 30.0   #: delay ceiling
     jobs: int = 0                 #: concurrent points; 0 = os.cpu_count()
     #: heartbeat staleness after which a point's lease is reclaimed and
-    #: the point re-queued — catches workers that die without an
-    #: observable exit status (SIGKILL, OOM, host loss).  0 disables
+    #: the point re-queued — catches workers that stay alive but stop
+    #: heartbeating (wedged) well before ``timeout_s``.  0 disables
     #: lease expiry (exit-status supervision only).
     lease_ttl_s: float = 60.0
     #: period of the worker-side heartbeat file writes

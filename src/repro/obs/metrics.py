@@ -88,10 +88,9 @@ class MetricsRegistry:
         """Instantaneous counter + gauge values, without appending to
         the time series.
 
-        This is the pull-based shape the service layer's ``/v1/metrics``
-        endpoint wants: every scrape sees live values, while the sampled
-        series (driven by :class:`MetricsSampler`) stays scrape-rate
-        independent.  Gauges are polled now; non-finite values map to
+        Every poll sees live values, while the sampled series (driven
+        by :class:`MetricsSampler`) stays independent of how often it
+        is polled.  Gauges are polled now; non-finite values map to
         None exactly as in sampled rows.
         """
         row: Dict = {name: _finite(value)

@@ -96,31 +96,3 @@ class TestChaosReportShape:
         doc = store.read_json(
             os.path.join(str(tmp_path / "campaign"), "chaos-report.json"))
         assert doc is not None and not doc["ok"]
-
-
-class TestServiceChaos:
-    def test_small_service_campaign_survives_server_kill(self, tmp_path):
-        """The service-layer flagship, at smoke scale: SIGKILL the job
-        server mid-run, restart it, replay the submissions, and every
-        accepted job still reaches one terminal state with results
-        identical to a serial reference."""
-        from repro.harness.chaos import ServiceChaosConfig, \
-            run_service_chaos
-
-        cfg = ServiceChaosConfig(points=3, kills=1, server_kill_rate=0.5,
-                                 seed=0, timeout_s=120.0)
-        report = run_service_chaos(cfg, str(tmp_path / "campaign"))
-        assert report["ok"], report["problems"]
-        assert report["server_kills"] >= 1, \
-            "the campaign never actually killed the server"
-        assert report["final_shutdown_exit"] == 0
-        assert os.path.exists(os.path.join(
-            str(tmp_path / "campaign"), "service-chaos-report.json"))
-
-    def test_config_rejects_bad_knobs(self):
-        from repro.harness.chaos import ServiceChaosConfig
-
-        with pytest.raises(ValueError):
-            ServiceChaosConfig(points=0)
-        with pytest.raises(ValueError):
-            ServiceChaosConfig(server_kill_rate=-0.1)

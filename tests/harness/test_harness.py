@@ -70,8 +70,8 @@ class TestRunner:
     def test_state_hash_independent_of_process_history(self):
         """The canonical state hash must be a function of the run, not
         of how many objects this process allocated before it: a forked
-        worker and a fresh interpreter have to agree on it (the service
-        chaos campaign compares exactly those two)."""
+        worker and a fresh interpreter have to agree on it (a resumed
+        sweep may re-run a point in either)."""
         kw = dict(width=3, height=3, slot_table_size=32,
                   warmup=150, measure=250, seed=1,
                   with_state_hash=True)

@@ -36,8 +36,8 @@ class TestMetricsRegistry:
         assert isinstance(h1, Histogram)
 
     def test_snapshot_reads_live_values_without_sampling(self):
-        """snapshot() is the service /v1/metrics scrape: it polls
-        gauges now but never appends to the sampled time series."""
+        """snapshot() is a live poll: it reads gauges now but never
+        appends to the sampled time series."""
         reg = MetricsRegistry()
         state = {"depth": 2}
         reg.inc("jobs.submitted", 5)

@@ -276,6 +276,31 @@ class TestSweepDryRun:
         assert rc == 2
         assert "unknown pattern" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["plain", "supervised", "dry-run"])
+    @pytest.mark.parametrize("pattern,schemes,message", [
+        ("bogus", "packet_vc4", "unknown pattern"),
+        ("neighbor", "packet_vc9", "unknown scheme"),
+    ], ids=["pattern", "scheme"])
+    def test_every_mode_rejects_unknown_pattern_or_scheme(
+            self, tmp_path, capsys, monkeypatch, mode, pattern, schemes,
+            message):
+        """A bad pattern or scheme is a configuration error in every
+        sweep mode: exit 2 before any worker runs or any point is
+        written."""
+        import os
+
+        monkeypatch.setenv("REPRO_SCALE", "0.05")
+        monkeypatch.chdir(tmp_path)
+        run_dir = str(tmp_path / "run")
+        argv = ["sweep", pattern, "--rates", "0.1", "--schemes", schemes]
+        if mode == "supervised":
+            argv += ["--supervised", "--run-dir", run_dir]
+        elif mode == "dry-run":
+            argv += ["--dry-run"]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(run_dir, "points"))
+
     def test_dry_run_rejects_bad_supervisor_config(self, tmp_path,
                                                    capsys):
         rc = main(["sweep", "neighbor", "--supervised",
@@ -295,18 +320,8 @@ class TestExitCodes:
         from repro.cli import (EXIT_CONFIG, EXIT_TRANSIENT,
                                _classify_exit)
         from repro.harness.supervisor import SweepConfigError
-        from repro.service.client import ServiceError
-        from repro.service.jobs import JobSpecError
 
         assert _classify_exit(SweepConfigError("x")) == EXIT_CONFIG
-        assert _classify_exit(JobSpecError("x")) == EXIT_CONFIG
-        assert _classify_exit(ServiceError(400, "bad")) == EXIT_CONFIG
-        assert _classify_exit(ServiceError(429, "slow down")) \
-            == EXIT_TRANSIENT
-        assert _classify_exit(ServiceError(503, "draining")) \
-            == EXIT_TRANSIENT
-        assert _classify_exit(ServiceError(500, "boom")) \
-            == EXIT_TRANSIENT
         assert _classify_exit(ConnectionRefusedError()) == EXIT_TRANSIENT
         assert _classify_exit(urllib.error.URLError("down")) \
             == EXIT_TRANSIENT
@@ -321,11 +336,6 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_sweep", boom)
         assert cli.main(["sweep"]) == 130
         assert "interrupted" in capsys.readouterr().err
-
-    def test_unreachable_service_is_transient(self, capsys):
-        rc = main(["jobs", "--url", "http://127.0.0.1:9/"])
-        assert rc == 3
-        assert "error:" in capsys.readouterr().err
 
     def test_genuine_bug_propagates(self, monkeypatch):
         import repro.cli as cli

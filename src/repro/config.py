@@ -268,6 +268,7 @@ class SupervisorConfig:
     """Supervised sweep execution: per-point subprocesses with timeouts
     and capped-backoff retries (off by default)."""
 
+    #: unread; kept because sweep.json records it and resume rebuilds it
     enabled: bool = False
     timeout_s: float = 300.0      #: wall-clock budget per sweep point
     max_retries: int = 2          #: retries for transient failures
@@ -325,13 +326,8 @@ class NetworkConfig:
     sdm: SDMConfig = field(default_factory=SDMConfig)
     faults: FaultConfig = field(default_factory=FaultConfig)
     checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
-    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     #: 'packet', 'tdm' or 'sdm'
     switching: str = "tdm"
-    #: recycle dead flits through a free-list pool instead of allocating
-    #: fresh objects (see :func:`repro.network.flit.enable_flit_pool`);
-    #: behaviour-identical, off by default
-    flit_pool: bool = False
 
     def __post_init__(self) -> None:
         if self.width < 2 or self.height < 2:

@@ -29,7 +29,6 @@ from repro.harness.supervisor import (
     run_supervised_sweep,
 )
 from repro.harness.executor import LocalProcessExecutor
-from repro.harness.store import ArtifactStore
 from repro.harness.verify import ReplayReport, verify_replay
 from repro.harness import experiments
 
@@ -49,7 +48,6 @@ __all__ = [
     "resume_sweep",
     "run_supervised_sweep",
     "LocalProcessExecutor",
-    "ArtifactStore",
     "ReplayReport",
     "verify_replay",
 ]

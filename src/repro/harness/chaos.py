@@ -12,8 +12,8 @@
   - **supervisor loss** (the whole supervisor process is SIGKILLed at a
     random moment, orphaning the run mid-parallel-flight);
   - **corruption between resume cycles** (random result files, checksum
-    sidecars, observability artifacts, store objects and the manifest
-    are truncated or bit-flipped);
+    sidecars, observability artifacts and the manifest are truncated or
+    bit-flipped);
   - **disk-full on artifact writes** (workers arm the store's seeded
     ENOSPC hook, so a fraction of result writes fail after spilling a
     partial tmp file).
@@ -21,8 +21,8 @@
 The final cycle runs undisturbed, after which the harness asserts the
 **chaos invariants**: the manifest is complete and passes its own
 integrity hash, every per-point artifact validates against its recorded
-checksum (including the content-addressed store copies), and the rows
-*and state hashes* are point-for-point identical to the reference run.
+checksum, and the rows *and state hashes* are point-for-point identical
+to the reference run.
 Any violation lands in ``chaos-report.json`` and fails the command.
 """
 
@@ -106,11 +106,6 @@ def _corruption_targets(run_dir: str) -> List[str]:
     if os.path.isdir(pdir):
         targets.extend(os.path.join(pdir, n) for n in sorted(os.listdir(pdir))
                        if not n.endswith((".stderr", ".tmp", ".corrupt")))
-    objdir = os.path.join(run_dir, "store", "objects")
-    for sub in sorted(os.listdir(objdir)) if os.path.isdir(objdir) else []:
-        subdir = os.path.join(objdir, sub)
-        targets.extend(os.path.join(subdir, n)
-                       for n in sorted(os.listdir(subdir)))
     return targets
 
 
@@ -194,9 +189,7 @@ def validate_chaos_run(points: Sequence[Dict], run_dir: str,
        every point completed with no failures;
     2. every per-point result and artifact validates against its
        checksums, and the manifest's recorded digests match the files;
-    3. the content-addressed store holds an intact object for every
-       recorded digest;
-    4. rows and state hashes are point-for-point identical to
+    3. rows and state hashes are point-for-point identical to
        *reference* (the undisturbed serial run).
     """
     problems: List[str] = []
@@ -215,7 +208,6 @@ def validate_chaos_run(points: Sequence[Dict], run_dir: str,
         problems.append(
             f"manifest records {len(manifest['failures'])} failure(s)")
 
-    artifacts = store.ArtifactStore(os.path.join(run_dir, "store"))
     records = manifest.get("points") or {}
     results = []
     for index, point in enumerate(points):
@@ -230,12 +222,6 @@ def validate_chaos_run(points: Sequence[Dict], run_dir: str,
             problems.append(
                 f"point {index}: manifest sha256 does not match the "
                 f"validated result file")
-        shas = [sums["result"]] + sorted((sums.get("artifacts") or {})
-                                         .values())
-        for sha in artifacts.fsck(shas):
-            problems.append(
-                f"point {index}: store object {sha[:16]}... missing "
-                f"or corrupt")
 
     if len(reference) != len(points):
         problems.append(f"reference run has {len(reference)} results "

@@ -2,9 +2,11 @@
 
 The supervisor (:mod:`repro.harness.supervisor`) never touches process
 objects directly: it submits :class:`WorkSpec` descriptions to a
-:class:`LocalProcessExecutor` and from then on owns only a *lease* on
-the point.  Exits are observed through process sentinels; a worker that
-stays alive but stops heartbeating is caught by lease expiry instead.
+:class:`LocalProcessExecutor`, one subprocess per point attempt, and
+from then on owns only a *lease* on the point.  Exits are observed
+through process sentinels; a worker that stays alive but stops
+heartbeating is caught by lease expiry instead.  Workers are only ever
+killed one handle at a time, by the supervisor that launched them.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ from __future__ import annotations
 import enum
 import multiprocessing
 import multiprocessing.connection
-import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 
 class WorkerStatus(enum.Enum):
@@ -35,9 +36,6 @@ class WorkSpec:
     heartbeat_path: Optional[str] = None
     heartbeat_interval_s: float = 1.0
     stderr_path: Optional[str] = None
-    #: owner id; lets :meth:`LocalProcessExecutor.kill_job` terminate
-    #: every worker of one owner without touching the others
-    job: Optional[str] = None
 
 
 def _worker_entry(spec: WorkSpec) -> None:
@@ -63,17 +61,10 @@ class LocalProcessExecutor:
                 self._ctx = multiprocessing.get_context("spawn")
         else:
             self._ctx = multiprocessing.get_context(context)
-        # job tag -> live handles; submit/reap may race with another
-        # thread calling kill_job, hence the lock
-        self._jobs: Dict[str, List] = {}
-        self._jobs_lock = threading.Lock()
 
     def submit(self, spec: WorkSpec):
         proc = self._ctx.Process(target=_worker_entry, args=(spec,))
         proc.start()
-        if spec.job is not None:
-            with self._jobs_lock:
-                self._jobs.setdefault(spec.job, []).append(proc)
         return proc
 
     def poll(self, handle) -> WorkerStatus:
@@ -96,32 +87,11 @@ class LocalProcessExecutor:
 
     def reap(self, handle) -> None:
         """Release the process object of a finished/killed handle."""
-        with self._jobs_lock:
-            for handles in self._jobs.values():
-                if handle in handles:
-                    handles.remove(handle)
         try:
             handle.join()
             handle.close()
         except ValueError:               # second reap: already closed
             pass
-
-    def kill_job(self, job: str) -> int:
-        """SIGKILL every live worker tagged with *job*; returns the
-        number of workers signalled.  The supervisor loop then observes
-        the exits (with its :class:`~repro.harness.supervisor.SweepControl`
-        cancelled, it finalises instead of retrying)."""
-        with self._jobs_lock:
-            handles = list(self._jobs.get(job, []))
-        killed = 0
-        for handle in handles:
-            try:
-                if handle.is_alive():
-                    handle.kill()
-                    killed += 1
-            except ValueError:
-                pass
-        return killed
 
     def pid(self, handle) -> Optional[int]:
         """Worker OS pid (used by lease files and chaos), None once

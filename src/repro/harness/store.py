@@ -1,4 +1,4 @@
-"""Content-addressed, checksum-validated artifact storage for sweeps.
+"""Checksum-validated artifact writes for sweeps.
 
 Every durable file the sweep fabric produces — point results, trace /
 metrics sidecars, manifests — goes through this module so that one
@@ -10,12 +10,8 @@ discipline applies everywhere:
   leaves a half-written file under a final name;
 * **checksums**: canonical SHA-256 (:func:`sha256_bytes` /
   :func:`sha256_file`) recorded next to, and inside, the manifests so
-  corruption is *detected* on resume instead of silently loaded;
-* **content addressing**: :class:`ArtifactStore` keeps a second copy of
-  each finalized artifact under ``objects/<aa>/<sha256>``, verified and
-  self-healing (:meth:`ArtifactStore.put` repairs a corrupt object from
-  a validated source file), so a result can be fetched by its digest
-  alone.
+  corruption is *detected* on resume instead of silently loaded, and
+  the point is discarded and re-run.
 
 The module also hosts the **disk-full chaos hook**: a worker process
 may call :func:`install_diskfull` to make a seeded fraction of atomic
@@ -31,14 +27,13 @@ import errno
 import json
 import os
 import random
-import shutil
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.sim.checkpoint import (atomic_write_bytes, sha256_bytes,
                                   sha256_file)
 
 __all__ = [
-    "ArtifactStore", "StoreCorruptError", "canonical_json",
+    "StoreCorruptError", "canonical_json",
     "install_diskfull", "read_json", "sha256_bytes", "sha256_file",
     "write_bytes_atomic", "write_json_atomic",
 ]
@@ -152,77 +147,3 @@ def _corrupt(path: str, message: str, quarantine: bool) -> None:
     except OSError:  # pragma: no cover - raced deletion
         pass
     return None
-
-
-# ---------------------------------------------------------------------------
-# content-addressed object store
-# ---------------------------------------------------------------------------
-class ArtifactStore:
-    """``objects/<aa>/<sha256>`` content-addressed store under *root*.
-
-    Objects are immutable by construction (named by their hash); ``put``
-    verifies any existing object before trusting it and repairs corrupt
-    ones from the source file, so the store self-heals on resume.
-    """
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-
-    def object_path(self, sha: str) -> str:
-        return os.path.join(self.root, "objects", sha[:2], sha)
-
-    def has(self, sha: str) -> bool:
-        return os.path.exists(self.object_path(sha))
-
-    def verify(self, sha: str) -> bool:
-        """True iff the object exists and its bytes hash to its name."""
-        path = self.object_path(sha)
-        try:
-            return sha256_file(path) == sha
-        except OSError:
-            return False
-
-    def put(self, src_path: str, sha: Optional[str] = None) -> str:
-        """Ingest *src_path*; returns its SHA-256.
-
-        *sha*, when given, is the expected digest — a mismatch raises
-        :class:`StoreCorruptError` instead of poisoning the store.  An
-        existing object is re-verified and rewritten if corrupt.
-        """
-        actual = sha256_file(src_path)
-        if sha is not None and actual != sha:
-            raise StoreCorruptError(
-                f"{src_path}: sha256 {actual[:16]}... != expected "
-                f"{sha[:16]}...")
-        dest = self.object_path(actual)
-        if not os.path.exists(dest) or sha256_file(dest) != actual:
-            with open(src_path, "rb") as fh:
-                write_bytes_atomic(dest, fh.read())
-        return actual
-
-    def put_bytes(self, data: bytes) -> str:
-        sha = sha256_bytes(data)
-        if not self.has(sha):
-            write_bytes_atomic(self.object_path(sha), data)
-        return sha
-
-    def restore(self, sha: str, dest: str) -> bool:
-        """Copy an intact object out to *dest*; False when unavailable."""
-        if not self.verify(sha):
-            return False
-        os.makedirs(os.path.dirname(os.path.abspath(dest)), exist_ok=True)
-        shutil.copyfile(self.object_path(sha), dest + ".tmp")
-        os.replace(dest + ".tmp", dest)
-        return True
-
-    def fsck(self, shas: Optional[List[str]] = None) -> List[str]:
-        """Digests that are missing or corrupt (all objects by default)."""
-        if shas is None:
-            shas = []
-            objdir = os.path.join(self.root, "objects")
-            if os.path.isdir(objdir):
-                for sub in sorted(os.listdir(objdir)):
-                    subdir = os.path.join(objdir, sub)
-                    if os.path.isdir(subdir):
-                        shas.extend(sorted(os.listdir(subdir)))
-        return [sha for sha in shas if not self.verify(sha)]

@@ -63,41 +63,6 @@ class SweepConfigError(RuntimeError):
     """A run directory cannot be safely resumed under the given spec."""
 
 
-class SweepControl:
-    """Cooperative control over one in-flight supervised sweep.
-
-    Another thread shares an instance with the thread driving
-    :func:`run_supervised_sweep`:
-
-    * :meth:`cancel` — kill every active worker and stop immediately.
-      The partial results on disk stay checksum-valid and resumable.
-    * :meth:`request_yield` — stop launching *new* points; in-flight
-      points run to completion and the sweep returns with
-      ``stopped="preempted"`` once the last one finalises, handing its
-      slot back between points, never mid-point.
-
-    Both are sticky; a control object belongs to one sweep invocation.
-    """
-
-    def __init__(self) -> None:
-        self._cancel = threading.Event()
-        self._yield = threading.Event()
-
-    def cancel(self) -> None:
-        self._cancel.set()
-
-    def request_yield(self) -> None:
-        self._yield.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancel.is_set()
-
-    @property
-    def should_yield(self) -> bool:
-        return self._yield.is_set()
-
-
 # ---------------------------------------------------------------------------
 # point specs and file layout
 # ---------------------------------------------------------------------------
@@ -132,46 +97,6 @@ def build_sweep_points(schemes: Sequence[str], pattern: str,
         point["metrics_interval"] = metrics_interval
     return [dict(point, scheme=scheme, pattern=pattern, rate=float(rate))
             for scheme in schemes for rate in rates]
-
-
-def build_hetero_points(schemes: Sequence[str],
-                        cpu_benchmarks: Sequence[str],
-                        gpu_benchmarks: Sequence[str],
-                        seed: int = 1, width: int = 6, height: int = 6,
-                        warmup: int = 2000, measure: int = 6000,
-                        phased: bool = False, policy: str = "slack",
-                        engine: Optional[str] = None) -> List[Dict]:
-    """The (scheme x CPU benchmark x GPU benchmark) closed-loop grid.
-
-    A hetero point is recognised by its ``cpu_benchmark`` key (synthetic
-    points carry ``pattern``/``rate`` instead); ``phased`` turns on the
-    phase-structured workload layer and hotspot skew."""
-    point: Dict = {"warmup": warmup, "measure": measure, "seed": seed,
-                   "width": width, "height": height, "policy": policy}
-    if engine is not None:
-        point["engine"] = engine
-    if phased:
-        point["phased"] = True
-    return [dict(point, scheme=scheme, cpu_benchmark=cpu, gpu_benchmark=gpu)
-            for scheme in schemes
-            for cpu in cpu_benchmarks for gpu in gpu_benchmarks]
-
-
-def build_replay_points(schemes: Sequence[str], trace_path: str,
-                        seed: int = 1, width: int = 6, height: int = 6,
-                        warmup: int = 2000, measure: int = 6000,
-                        policy: str = "slack",
-                        engine: Optional[str] = None) -> List[Dict]:
-    """One trace replayed across *schemes* (identical traffic per point).
-
-    A replay point carries ``trace`` as a *string* path — distinct from
-    the boolean ``trace`` observability flag of synthetic points."""
-    point: Dict = {"warmup": warmup, "measure": measure, "seed": seed,
-                   "width": width, "height": height, "policy": policy,
-                   "trace": os.path.abspath(trace_path)}
-    if engine is not None:
-        point["engine"] = engine
-    return [dict(point, scheme=scheme) for scheme in schemes]
 
 
 def _points_dir(run_dir: str) -> str:
@@ -263,64 +188,12 @@ def _run_to_row(run) -> Dict:
     return row
 
 
-def _hetero_row(res) -> Dict:
-    """Flatten a :class:`~repro.hetero.system.HeteroResult` to a result
-    row (the hetero/replay analogue of :func:`_run_to_row`)."""
-    return {
-        "scheme": res.scheme,
-        "cpu_benchmark": res.cpu_benchmark,
-        "gpu_benchmark": res.gpu_benchmark,
-        "cycles": res.cycles,
-        "cpu_ipc": res.cpu_ipc,
-        "gpu_throughput": res.gpu_throughput,
-        "gpu_injection_rate": res.gpu_injection_rate,
-        "cs_fraction": res.cs_fraction,
-        "avg_latency": res.avg_pkt_latency,
-        "energy_total": res.energy.total,
-        "messages_delivered": res.messages_delivered,
-    }
-
-
-def _run_hetero_point(point: Dict) -> Dict:
-    """Execute one closed-loop hetero or trace-replay sweep point."""
-    from repro.harness.runner import scaled
-    from repro.hetero.system import HeteroSystem, run_hetero_replay
-    from repro.sim.checkpoint import reset_id_counters
-
-    reset_id_counters()
-    warmup = scaled(point.get("warmup", 2000))
-    measure = scaled(point.get("measure", 6000))
-    common = dict(seed=point.get("seed", 1),
-                  width=point.get("width", 6),
-                  height=point.get("height", 6),
-                  engine=point.get("engine"),
-                  policy=point.get("policy", "slack"))
-    if isinstance(point.get("trace"), str):
-        res = run_hetero_replay(point["scheme"], point["trace"],
-                                warmup=warmup, measure=measure, **common)
-        return _hetero_row(res)
-    phases = None
-    if point.get("phased"):
-        from repro.hetero.phases import PhaseConfig
-        phases = PhaseConfig()
-    system = HeteroSystem(point["scheme"], point["cpu_benchmark"],
-                          point["gpu_benchmark"], phases=phases, **common)
-    return _hetero_row(system.run(warmup=warmup, measure=measure))
-
-
-def _is_hetero_point(point: Dict) -> bool:
-    return "cpu_benchmark" in point or isinstance(point.get("trace"), str)
-
-
 def _point_observability(point: Dict, out_path: str):
     """Observability bundle for one sweep point, or None.
 
     Output files share the result file's ``point-NNNN`` stem so every
-    dump sits next to the JSON row it belongs to.  The ``trace`` key is
-    overloaded: ``True`` requests an observability trace dump, while a
-    *string* names a message-trace file to replay (see
-    :func:`build_replay_points`) and must not trigger dumps."""
-    obs_trace = point.get("trace") is True
+    dump sits next to the JSON row it belongs to."""
+    obs_trace = bool(point.get("trace"))
     if not (obs_trace or point.get("metrics")):
         return None
     from repro.obs import Observability
@@ -412,31 +285,25 @@ def _worker_main(point: Dict, out_path: str,
             stop_hb.set()
         time.sleep(3600)
 
-    # hetero/replay points run the closed-loop system, not run_synthetic,
-    # and carry no observability dumps
-    obs = (None if _is_hetero_point(point)
-           else _point_observability(point, out_path))
+    obs = _point_observability(point, out_path)
     status = STATUS_OK
     try:
         if fail_mode == "livelock":
             raise LivelockError(0, 1, 1, {"injected": True})
-        if _is_hetero_point(point):
-            row = _run_hetero_point(point)
-        else:
-            run = run_synthetic(
-                point["scheme"], point["pattern"], point["rate"],
-                warmup=point.get("warmup", 1500),
-                measure=point.get("measure", 4000),
-                seed=point.get("seed", 1),
-                width=point.get("width", 6), height=point.get("height", 6),
-                slot_table_size=point.get("slot_table_size", 128),
-                engine=point.get("engine"),
-                checkpoint_dir=ckpt_dir,
-                checkpoint_cycles=checkpoint_cycles,
-                observability=obs, with_state_hash=True)
-            row = _run_to_row(run)
-            if run.failed:
-                status = STATUS_LIVELOCK
+        run = run_synthetic(
+            point["scheme"], point["pattern"], point["rate"],
+            warmup=point.get("warmup", 1500),
+            measure=point.get("measure", 4000),
+            seed=point.get("seed", 1),
+            width=point.get("width", 6), height=point.get("height", 6),
+            slot_table_size=point.get("slot_table_size", 128),
+            engine=point.get("engine"),
+            checkpoint_dir=ckpt_dir,
+            checkpoint_cycles=checkpoint_cycles,
+            observability=obs, with_state_hash=True)
+        row = _run_to_row(run)
+        if run.failed:
+            status = STATUS_LIVELOCK
     except LivelockError as exc:
         status = STATUS_LIVELOCK
         row = {"scheme": point["scheme"],
@@ -491,8 +358,13 @@ def validate_result(run_dir: str, index: int,
         return None, ("missing" if not os.path.exists(path)
                       else "unparseable result")
     sums = store.read_json(_sidecar_path(run_dir, index))
-    if not isinstance(sums, dict) or "result" not in sums:
+    if not isinstance(sums, dict):
         return None, "missing checksum sidecar"
+    # the worker always writes both keys; a sidecar missing either (a
+    # bit flip can rename one) must not skip the checks it would carry
+    if not isinstance(sums.get("result"), str) \
+            or not isinstance(sums.get("artifacts"), dict):
+        return None, "malformed checksum sidecar"
     if store.sha256_file(path) != sums["result"]:
         return None, "result checksum mismatch"
     if point is not None:
@@ -500,7 +372,7 @@ def validate_result(run_dir: str, index: int,
         if not isinstance(recorded, dict) \
                 or point_spec_hash(recorded) != point_spec_hash(point):
             return None, "point spec mismatch (configuration changed)"
-    for rel, sha in (sums.get("artifacts") or {}).items():
+    for rel, sha in sums["artifacts"].items():
         apath = os.path.join(run_dir, rel)
         if not os.path.exists(apath):
             return None, f"missing artifact {rel}"
@@ -639,9 +511,8 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
                          sup: Optional[SupervisorConfig] = None,
                          ckpt: Optional[CheckpointConfig] = None,
                          progress=None,
-                         executor: Optional[LocalProcessExecutor] = None,
-                         control: Optional[SweepControl] = None,
-                         job: Optional[str] = None) -> Dict:
+                         executor: Optional[LocalProcessExecutor] = None
+                         ) -> Dict:
     """Run every point under supervision; returns the sweep summary.
 
     Up to ``sup.jobs`` points run concurrently (0 means one per CPU)
@@ -657,13 +528,6 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
     moved aside and re-run.  The manifest and the failure manifest are
     rewritten atomically (with embedded integrity hashes) after every
     point finalisation, so they are always consistent on disk.
-
-    *control* (a :class:`SweepControl`) lets another thread cancel the
-    sweep or ask it to yield its slot between points; the summary then
-    carries ``stopped`` (``"cancelled"``/``"preempted"``) and
-    ``remaining`` (points not yet finalised); without it ``stopped`` is
-    None.  *job* tags every worker with an owner id so
-    :meth:`LocalProcessExecutor.kill_job` can terminate them as a group.
     """
     sup = sup or SupervisorConfig(enabled=True)
     ckpt = ckpt or CheckpointConfig()
@@ -678,7 +542,6 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
         "supervisor": dataclasses.asdict(sup),
         "checkpoint": dataclasses.asdict(ckpt),
     })
-    artifacts = store.ArtifactStore(os.path.join(run_dir, "store"))
 
     # stale leases from a previous (crashed) supervisor: no worker of
     # ours holds them; orphaned workers, if any, write deterministic
@@ -702,12 +565,8 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
                 "status": data["status"],
                 "attempts": old.get("attempts", 1),
                 "sha256": sums["result"],
-                "artifacts": sums.get("artifacts", {}),
+                "artifacts": sums["artifacts"],
             }
-            # self-heal the content-addressed copies from validated files
-            artifacts.put(_result_path(run_dir, index), sums["result"])
-            for rel, sha in (sums.get("artifacts") or {}).items():
-                artifacts.put(os.path.join(run_dir, rel), sha)
         else:
             _discard_result(run_dir, index)
             records.pop(str(index), None)
@@ -726,8 +585,7 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
             checkpoint_cycles=ckpt.interval_cycles if ckpt.enabled else 0,
             heartbeat_path=hb,
             heartbeat_interval_s=sup.heartbeat_interval_s,
-            stderr_path=_stderr_path(run_dir, index),
-            job=job)
+            stderr_path=_stderr_path(run_dir, index))
         handle = executor.submit(spec)
         now_wall = time.time()
         store.write_json_atomic(lease_path(run_dir, index), {
@@ -776,25 +634,9 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
             "failures": sorted(failures, key=lambda f: f["index"]),
         })
 
-    stopped = None
     while pending or waiting or active:
         now = time.monotonic()
-        if control is not None and control.cancelled:
-            # deadline/cancel enforcement: kill the in-flight workers,
-            # release their leases and stop.  On-disk state stays
-            # checksum-valid; a later run re-runs the unfinished points.
-            for index in sorted(active):
-                lease = active[index]
-                executor.kill(lease.handle)
-                executor.reap(lease.handle)
-                _release_lease(index)
-            # active stays populated: the killed points are unfinished
-            # and must count into the summary's ``remaining``
-            stopped = "cancelled"
-            break
-        yielding = control is not None and control.should_yield
-        if not yielding:
-            _fill_slots()
+        _fill_slots()
 
         now_wall = time.time()
         for index in sorted(active):
@@ -830,11 +672,8 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
                 records[str(index)] = {
                     "status": result["status"], "attempts": attempts,
                     "sha256": sums["result"],
-                    "artifacts": sums.get("artifacts", {}),
+                    "artifacts": sums["artifacts"],
                 }
-                artifacts.put(_result_path(run_dir, index), sums["result"])
-                for rel, sha in (sums.get("artifacts") or {}).items():
-                    artifacts.put(os.path.join(run_dir, rel), sha)
             if outcome != "ok":
                 if outcome == "livelock":
                     failures.append({
@@ -852,16 +691,9 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
                 _write_failure_manifest()
             _write_manifest()
 
-        if yielding:
-            if not active and (pending or waiting):
-                # slot handed back between points; unfinished work
-                # stays queued on disk for the next scheduling
-                stopped = "preempted"
-                break
-        else:
-            # refill the slots freed by this pass before blocking, so
-            # they do not sit empty until the next wake
-            _fill_slots()
+        # refill the slots freed by this pass before blocking, so they
+        # do not sit empty until the next wake
+        _fill_slots()
 
         if active:
             # wake on a worker exit, the next deadline/retry, or (capped
@@ -875,9 +707,6 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
         elif waiting:
             resume = min(w["resume"] for w in waiting)
             delay = resume - time.monotonic()
-            if control is not None:
-                # stay responsive to cancel/yield while backing off
-                delay = min(delay, 0.1)
             if delay > 0:
                 time.sleep(delay)
 
@@ -888,8 +717,8 @@ def run_supervised_sweep(points: Sequence[Dict], run_dir: str,
     failures.sort(key=lambda f: f["index"])
     return {"total": len(points), "completed": completed,
             "skipped": skipped, "failures": failures,
-            "stopped": stopped,
-            "remaining": len(pending) + len(waiting) + len(active),
+            # always None: kept because existing callers read the key
+            "stopped": None,
             "results": load_results(run_dir)}
 
 

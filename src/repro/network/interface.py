@@ -20,8 +20,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.config import NetworkConfig
-from repro.network.flit import (Flit, Message, MessageClass, Packet,
-                                release_flit)
+from repro.network.flit import Flit, Message, MessageClass, Packet
 from repro.network.link import CreditLink, FlitLink
 from repro.network.topology import LOCAL
 from repro.obs.trace import NULL_RECORDER
@@ -240,9 +239,6 @@ class NetworkInterface(SimObject):
         if self.obs.enabled:
             self.obs.flit_eject(cycle, self._obs_track, pkt.id,
                                 flit.index, flit.is_circuit, done)
-        # ejection is the one point where a flit is provably dead (out of
-        # every buffer, pipe and snapshot): hand it to the optional pool
-        release_flit(flit)
         if not done:
             return
         pkt.eject_cycle = cycle

@@ -291,11 +291,6 @@ def _wire(cfg: NetworkConfig, sim: Simulator,
 
 def build_network(cfg: NetworkConfig, sim: Simulator) -> Network:
     """Build the network matching ``cfg.switching`` and register it."""
-    # the pool is process-global: the last-built network's config wins,
-    # which keeps paired builds (e.g. the differential-equivalence
-    # harness building both engines from one config) consistent
-    from repro.network.flit import enable_flit_pool
-    enable_flit_pool(cfg.flit_pool)
     if cfg.switching == "packet":
         net = _build(cfg, sim, PacketRouter, NetworkInterface, Network)
     elif cfg.switching == "tdm":

@@ -15,14 +15,14 @@ from repro.harness.executor import (LocalProcessExecutor, WorkerStatus,
 from repro.harness.supervisor import build_sweep_points
 
 
-def _spec(tmp_path, name="p0", job=None, **point_overrides):
+def _spec(tmp_path, name="p0", **point_overrides):
     point = build_sweep_points(["packet_vc4"], "uniform_random", [0.1],
                                width=3, height=3, slot_table_size=32,
                                warmup=50, measure=50)[0]
     point.update(point_overrides)
     return WorkSpec(index=0, point=point,
                     out_path=str(tmp_path / f"{name}.json"),
-                    ckpt_dir=None, checkpoint_cycles=0, job=job)
+                    ckpt_dir=None, checkpoint_cycles=0)
 
 
 def _wait_exit(ex, handle, timeout_s=30.0):
@@ -87,31 +87,3 @@ class TestReapIdempotency:
         assert ex.pid(handle) is None
 
 
-class TestKillJob:
-    def test_kill_job_signals_only_its_workers(self, tmp_path):
-        ex = LocalProcessExecutor()
-        doomed = ex.submit(_spec(tmp_path, "doomed", job="job-a",
-                                 _test_fail="hang"))
-        spared = ex.submit(_spec(tmp_path, "spared", job="job-b",
-                                 _test_fail="hang"))
-        try:
-            assert ex.kill_job("job-a") == 1
-            _wait_exit(ex, doomed)
-            assert ex.poll(spared) is WorkerStatus.RUNNING
-        finally:
-            for h in (doomed, spared):
-                ex.kill(h)
-                ex.reap(h)
-
-    def test_kill_job_unknown_job_is_zero(self):
-        ex = LocalProcessExecutor()
-        assert ex.kill_job("no-such-job") == 0
-
-    def test_reap_forgets_job_membership(self, tmp_path):
-        """A reaped handle must leave the job index, or a later
-        deadline kill would signal a recycled process object."""
-        ex = LocalProcessExecutor()
-        handle = ex.submit(_spec(tmp_path, job="job-a"))
-        _wait_exit(ex, handle)
-        ex.reap(handle)
-        assert ex.kill_job("job-a") == 0

@@ -1,4 +1,4 @@
-"""Content-addressed store: atomic writes, checksums, self-healing."""
+"""Artifact store helpers: atomic writes, checksums, self-hashed documents."""
 
 from __future__ import annotations
 
@@ -72,76 +72,6 @@ class TestSelfHashedDocuments:
         json.dump(doc, open(path, "w"))
         with pytest.raises(store.StoreCorruptError):
             store.read_json_self_hashed(path)
-
-
-class TestArtifactStore:
-    def test_put_and_verify(self, tmp_path):
-        art = store.ArtifactStore(str(tmp_path / "store"))
-        src = str(tmp_path / "src")
-        open(src, "wb").write(b"hello world")
-        sha = art.put(src)
-        assert art.has(sha) and art.verify(sha)
-        assert open(art.object_path(sha), "rb").read() == b"hello world"
-
-    def test_put_refuses_checksum_mismatch(self, tmp_path):
-        art = store.ArtifactStore(str(tmp_path / "store"))
-        src = str(tmp_path / "src")
-        open(src, "wb").write(b"hello")
-        with pytest.raises(store.StoreCorruptError):
-            art.put(src, sha="0" * 64)
-        assert art.fsck() == []          # nothing poisoned the store
-
-    def test_put_heals_corrupt_object(self, tmp_path):
-        art = store.ArtifactStore(str(tmp_path / "store"))
-        src = str(tmp_path / "src")
-        open(src, "wb").write(b"payload")
-        sha = art.put(src)
-        open(art.object_path(sha), "wb").write(b"rotted")
-        assert not art.verify(sha)
-        art.put(src, sha)                # re-ingest repairs in place
-        assert art.verify(sha)
-
-    def test_restore_refuses_corrupt_object(self, tmp_path):
-        art = store.ArtifactStore(str(tmp_path / "store"))
-        sha = art.put_bytes(b"data")
-        dest = str(tmp_path / "out")
-        assert art.restore(sha, dest)
-        assert open(dest, "rb").read() == b"data"
-        open(art.object_path(sha), "wb").write(b"bad")
-        assert not art.restore(sha, str(tmp_path / "out2"))
-        assert not os.path.exists(str(tmp_path / "out2"))
-
-    def test_fsck_reports_missing_and_corrupt(self, tmp_path):
-        art = store.ArtifactStore(str(tmp_path / "store"))
-        good = art.put_bytes(b"good")
-        bad = art.put_bytes(b"bad-to-be")
-        open(art.object_path(bad), "wb").write(b"flipped")
-        missing = "f" * 64
-        assert set(art.fsck([good, bad, missing])) == {bad, missing}
-        assert art.fsck() == [bad]       # full scan finds the rot too
-
-    def test_fsck_missing_objects_dir_is_clean(self, tmp_path):
-        """A store that never ingested anything has no objects/ — a
-        full-scan fsck on it is an empty report, not a crash."""
-        art = store.ArtifactStore(str(tmp_path / "never-used"))
-        assert art.fsck() == []
-        # ...but an explicit expectation against it still fails loudly
-        assert art.fsck(["a" * 64]) == ["a" * 64]
-
-    def test_fsck_empty_objects_dir_is_clean(self, tmp_path):
-        art = store.ArtifactStore(str(tmp_path / "store"))
-        os.makedirs(os.path.join(art.root, "objects"))
-        assert art.fsck() == []
-
-    def test_fsck_ignores_stray_files_in_objects_dir(self, tmp_path):
-        """Temp droppings at the fan-out level (not inside an <aa>/
-        bucket) are not objects and must not appear in the report."""
-        art = store.ArtifactStore(str(tmp_path / "store"))
-        good = art.put_bytes(b"good")
-        objdir = os.path.join(art.root, "objects")
-        open(os.path.join(objdir, "stray.tmp"), "wb").write(b"x")
-        assert art.fsck() == []
-        assert art.verify(good)
 
 
 class TestDiskFullHook:

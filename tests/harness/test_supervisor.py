@@ -60,6 +60,7 @@ class TestSupervisedSweep:
         run_dir = str(tmp_path / "run")
         summary = run_supervised_sweep(pts, run_dir, _sup())
         # the livelocked point is recorded, the other point still ran
+        assert summary["completed"] == 2
         assert len(summary["failures"]) == 1
         failure = summary["failures"][0]
         assert failure["outcome"] == "livelock"
@@ -365,6 +366,25 @@ class TestCorruptionResume:
         assert os.path.exists(os.path.join(run_dir, "points",
                                            "point-0000.trace.jsonl"))
 
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_sidecar_without_artifacts_key_rerun(self, tmp_path, jobs):
+        """A sidecar whose ``artifacts`` key was renamed (one bit flip
+        away) must not vouch for a corrupt artifact."""
+        run_dir, rows = self._run(tmp_path)
+        pdir = os.path.join(run_dir, "points")
+        sidecar = os.path.join(pdir, "point-0000.json.sha256")
+        sums = json.load(open(sidecar))
+        json.dump({"result": sums["result"], "artifactr": sums["artifacts"]},
+                  open(sidecar, "w"))
+        with open(os.path.join(pdir, "point-0000.trace.jsonl"), "ab") as fh:
+            fh.write(b"garbage\n")
+        assert validate_result(run_dir, 0)[0] is None
+        summary = resume_sweep(run_dir, jobs=jobs)
+        assert summary["skipped"] == 1      # point 1 untouched
+        assert summary["completed"] == 2    # point 0 re-ran
+        assert [r["row"] for r in summary["results"]] == rows
+        assert validate_result(run_dir, 0)[0] is not None
+
 
 class TestLeaseExpiry:
     def _sup(self, **kw):
@@ -461,75 +481,6 @@ class TestQuarantine:
                                        _sup(max_retries=2))
         assert summary["completed"] == 1
         assert summary["failures"] == []
-
-
-class TestSweepControl:
-    def test_cancel_kills_in_flight_workers(self, tmp_path):
-        """cancel() is the deadline/cancel path: hung workers are
-        killed now, nothing retries, and the summary says so."""
-        from repro.harness.supervisor import SweepControl
-        pts = build_sweep_points(["packet_vc4"], "uniform_random",
-                                 [0.05, 0.1, 0.15], width=3, height=3,
-                                 slot_table_size=32, warmup=200,
-                                 measure=200)
-        for p in pts:
-            p["_test_fail"] = "hang"
-        control = SweepControl()
-        timer = threading.Timer(0.5, control.cancel)
-        timer.start()
-        start = time.monotonic()
-        summary = run_supervised_sweep(pts, str(tmp_path / "run"),
-                                       _sup(jobs=3), control=control)
-        timer.join()
-        assert time.monotonic() - start < 30.0
-        assert summary["stopped"] == "cancelled"
-        assert summary["completed"] == 0
-        assert summary["remaining"] == 3
-        assert summary["failures"] == []
-
-    def test_yield_before_start_launches_nothing(self, tmp_path):
-        from repro.harness.supervisor import SweepControl
-        control = SweepControl()
-        control.request_yield()
-        pts = build_sweep_points(["packet_vc4"], "uniform_random",
-                                 [0.05, 0.1, 0.15], width=3, height=3,
-                                 slot_table_size=32, warmup=200,
-                                 measure=200)
-        summary = run_supervised_sweep(pts, str(tmp_path / "run"),
-                                       _sup(), control=control)
-        assert summary["stopped"] == "preempted"
-        assert summary["completed"] == 0
-        assert summary["remaining"] == 3
-
-    def test_yield_finishes_in_flight_point_then_stops(self, tmp_path):
-        """request_yield() is QoS preemption: the slot is handed back
-        between points, never mid-point, and the untouched points stay
-        runnable afterwards."""
-        from repro.harness.supervisor import SweepControl
-        pts = build_sweep_points(["packet_vc4"], "uniform_random",
-                                 [0.05, 0.1, 0.15], width=3, height=3,
-                                 slot_table_size=32, warmup=300,
-                                 measure=20000)
-        run_dir = str(tmp_path / "run")
-        control = SweepControl()
-        timer = threading.Timer(0.3, control.request_yield)
-        timer.start()
-        summary = run_supervised_sweep(pts, run_dir, _sup(jobs=1),
-                                       control=control)
-        timer.join()
-        assert summary["stopped"] == "preempted"
-        assert summary["failures"] == []
-        # whatever was in flight at yield time finished cleanly...
-        assert summary["completed"] >= 1
-        assert summary["remaining"] >= 1
-        assert summary["completed"] + summary["remaining"] == 3
-        # ...and a later scheduling of the same sweep picks up only the
-        # remainder (completed points skip on checksum validation)
-        done = run_supervised_sweep(pts, run_dir, _sup(jobs=1))
-        assert done["stopped"] is None
-        assert done["skipped"] == summary["completed"]
-        assert done["completed"] == 3       # includes the skipped points
-        assert len(load_results(run_dir)) == 3
 
 
 class TestRunnerCheckpointResume:

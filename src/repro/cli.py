@@ -11,8 +11,6 @@ Commands
 ``energy``    energy-saving comparison at one injection rate (Figure 5)
 ``hetero``    one heterogeneous workload mix across schemes (Figure 8)
 ``table3``    GPU injection / CS-fraction table (Table III)
-``faults``    resilience sweep under injected faults (link failures,
-              lost CONFIG messages) with the conservation watchdog on
 ``fig``       regenerate a whole paper artefact (fig4/fig5/fig6/fig8/
               fig9/table3) via the experiment harness
 ``inspect``   run a short simulation and dump live state (slot tables,
@@ -551,20 +549,6 @@ def cmd_table3(args) -> int:
     return 0
 
 
-def cmd_faults(args) -> int:
-    drops = [float(d) for d in args.drops.split(",")]
-    result = experiments_mod.fault_sweep(
-        scheme=args.scheme, pattern=args.pattern, rate=args.rate,
-        drop_rates=drops, link_faults=args.link_faults,
-        width=args.width, height=args.height,
-        setup_timeout=args.setup_timeout, seed=args.seed)
-    print(result.text)
-    if args.csv:
-        write_csv(args.csv, result.headers, result.rows)
-        print(f"\nwrote {args.csv}")
-    return 0
-
-
 def cmd_fig(args) -> int:
     fn = getattr(experiments_mod, args.name, None)
     if fn is None or args.name not in ("fig4", "fig5", "fig6", "fig8",
@@ -841,21 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table3", help="GPU injection & CS fractions")
     _add_common(p)
     p.set_defaults(fn=cmd_table3)
-
-    p = sub.add_parser("faults", help="fault-injection resilience sweep")
-    p.add_argument("--scheme", default="hybrid_tdm_vc4",
-                   choices=list(SCHEMES))
-    p.add_argument("--pattern", default="transpose")
-    p.add_argument("--rate", type=float, default=0.20)
-    p.add_argument("--drops", default="0.0,0.005,0.01,0.02,0.05",
-                   help="CONFIG-message drop rates to sweep")
-    p.add_argument("--link-faults", type=int, default=2,
-                   help="permanent bidirectional link failures")
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--height", type=int, default=8)
-    p.add_argument("--setup-timeout", type=int, default=256)
-    _add_common(p)
-    p.set_defaults(fn=cmd_faults)
 
     p = sub.add_parser("fig", help="regenerate a paper artefact")
     p.add_argument("name", choices=["fig4", "fig5", "fig6", "fig8",

@@ -30,6 +30,11 @@ from typing import Tuple
 #: Cache line size assumed throughout (bytes).  A data message is one line.
 CACHE_LINE_BYTES = 64
 
+
+def _is_pow2(n: int) -> bool:
+    return n > 0 and n & (n - 1) == 0
+
+
 #: Names of the evaluated network schemes.
 SCHEMES = (
     "packet_vc4",
@@ -86,12 +91,19 @@ class SlotTableConfig:
     resize_fail_threshold: int = 48
 
     def __post_init__(self) -> None:
-        if self.size < 2:
-            raise ValueError("slot table size must be >= 2")
+        if self.size < 2 or not _is_pow2(self.size):
+            raise ValueError("slot table size must be a power of two >= 2")
         if not (0.0 < self.reserve_cap <= 1.0):
             raise ValueError("reserve_cap must be in (0, 1]")
         if self.initial_active < 2 or self.initial_active > self.size:
             raise ValueError("initial_active must be in [2, size]")
+        if not _is_pow2(self.initial_active):
+            raise ValueError("initial_active must be a power of two")
+
+    @property
+    def reset_wheel(self) -> int:
+        """Active wheel size at reset (before any dynamic doubling)."""
+        return self.initial_active if self.dynamic_sizing else self.size
 
 
 @dataclass
@@ -123,38 +135,18 @@ class CircuitConfig:
     #: sharing failures (2-bit saturating counter) before a dedicated
     #: setup is generated; the paper uses the '10' state == 2 failures
     sharing_fail_threshold: int = 2
-    # -- resilience (fault-injection studies) ---------------------------
-    #: cycles a PENDING setup (or TEARING teardown) may remain
-    #: unacknowledged before the manager times it out and retries.  0
-    #: disables the whole resilience layer (the protocol then assumes a
-    #: perfect fabric, the paper's implicit model).
-    setup_timeout: int = 0
-    #: retry-delay growth per timed-out attempt (bounded exponential
-    #: backoff): attempt k is resent ``setup_timeout * backoff_factor**k``
-    #: cycles after its timeout, capped at ``backoff_cap`` multiples.
-    backoff_factor: int = 2
-    backoff_cap: int = 8
-    #: consecutive setup failures/timeouts to one destination before the
-    #: pair is demoted to pure packet switching for ``demote_cycles``
-    demote_threshold: int = 3
-    demote_cycles: int = 4000
 
     def __post_init__(self) -> None:
         if self.duration < 1:
             raise ValueError("duration must be >= 1")
         if self.dlt_size < 1:
             raise ValueError("dlt_size must be >= 1")
-        if self.setup_timeout < 0:
-            raise ValueError("setup_timeout must be >= 0")
-        if self.backoff_factor < 1 or self.backoff_cap < 1:
-            raise ValueError("backoff parameters must be >= 1")
-        if self.demote_threshold < 1 or self.demote_cycles < 0:
-            raise ValueError("invalid demotion parameters")
 
     @property
-    def resilience_enabled(self) -> bool:
-        """True when the timeout/backoff/demotion machinery is active."""
-        return self.setup_timeout > 0
+    def reserve_duration(self) -> int:
+        """Consecutive slots one connection reserves (vicinity sharing
+        adds a header slot)."""
+        return self.duration + (1 if self.vicinity else 0)
 
 
 @dataclass
@@ -182,57 +174,6 @@ class VCGatingConfig:
             raise ValueError(f"unknown gating metric {self.metric!r}")
         if not (0.0 <= self.delay_low < self.delay_high):
             raise ValueError("need 0 <= delay_low < delay_high")
-
-
-@dataclass
-class FaultConfig:
-    """Deterministic, seeded fault injection (see ``repro.faults``).
-
-    All stochastic draws come from the simulation-global generator, so a
-    ``(seed, config)`` pair fully determines which faults strike and
-    when.  Disabled by default: a default-config run performs zero extra
-    RNG draws and is bit-identical to a build without this subsystem.
-    """
-
-    enabled: bool = False
-    #: probability that an injected CONFIG message (SETUP / TEARDOWN /
-    #: ACK) is silently lost before entering the network
-    config_drop_rate: float = 0.0
-    #: number of directed inter-router links that fail permanently ...
-    link_fail_count: int = 0
-    #: ... at this cycle
-    link_fail_cycle: int = 1000
-    #: per-cycle probability of a transient link blackout striking a
-    #: random healthy directed link for ``transient_duration`` cycles
-    transient_link_rate: float = 0.0
-    transient_duration: int = 200
-    #: per-cycle probability of a random router stalling (its transfer
-    #: phase frozen) for ``router_stall_duration`` cycles
-    router_stall_rate: float = 0.0
-    router_stall_duration: int = 50
-    #: per-cycle probability of corrupting (invalidating) one reserved
-    #: slot-table entry of a random router input port
-    slot_corrupt_rate: float = 0.0
-    #: orphaned-reservation garbage collection period (cycles; 0 = off)
-    orphan_gc_interval: int = 2048
-    # -- watchdog -------------------------------------------------------
-    watchdog: bool = True       #: install the sim watchdog when enabled
-    watchdog_interval: int = 512   #: cycles between watchdog checks
-    #: consecutive no-progress checks (with work in flight) that raise
-    #: :class:`repro.sim.kernel.LivelockError`
-    watchdog_patience: int = 4
-    audit: bool = True          #: run the flit-conservation audit
-
-    def __post_init__(self) -> None:
-        for name in ("config_drop_rate", "transient_link_rate",
-                     "router_stall_rate", "slot_corrupt_rate"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.link_fail_count < 0:
-            raise ValueError("link_fail_count must be >= 0")
-        if self.watchdog_interval < 1 or self.watchdog_patience < 1:
-            raise ValueError("watchdog parameters must be >= 1")
 
 
 @dataclass
@@ -324,7 +265,6 @@ class NetworkConfig:
     circuit: CircuitConfig = field(default_factory=CircuitConfig)
     vc_gating: VCGatingConfig = field(default_factory=VCGatingConfig)
     sdm: SDMConfig = field(default_factory=SDMConfig)
-    faults: FaultConfig = field(default_factory=FaultConfig)
     checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
     #: 'packet', 'tdm' or 'sdm'
     switching: str = "tdm"
@@ -334,6 +274,11 @@ class NetworkConfig:
             raise ValueError("mesh must be at least 2x2")
         if self.switching not in ("packet", "tdm", "sdm"):
             raise ValueError(f"unknown switching mode {self.switching!r}")
+        wheel = self.slot_table.reset_wheel
+        need = self.circuit.reserve_duration
+        if self.switching == "tdm" and wheel < need:
+            raise ValueError(f"active slot wheel ({wheel}) is smaller than "
+                             f"one reservation ({need} slots)")
 
     # ------------------------------------------------------------------
     @property

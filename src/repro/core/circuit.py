@@ -20,7 +20,7 @@ messages sent *after* the ACK registers the connection use the circuit.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Dict, List, NamedTuple, Optional, Set
+from typing import Callable, Dict, NamedTuple, Optional
 
 from repro.config import NetworkConfig
 from repro.core.decision import (
@@ -48,15 +48,13 @@ _conn_ids = IdSource(1)
 class ConnState(Enum):
     PENDING = 0   #: setup sent, waiting for the acknowledgement
     ACTIVE = 1    #: registered; messages may be circuit-switched
-    TEARING = 2   #: teardown sent; slots may still be reserved downstream
 
 
 class Connection:
     """Source-side record of one circuit-switched connection."""
 
     __slots__ = ("conn_id", "src", "dst", "slot0", "duration", "state",
-                 "created", "last_used", "next_round_min", "retries", "uses",
-                 "deadline", "retry_at")
+                 "created", "last_used", "next_round_min", "retries", "uses")
 
     def __init__(self, conn_id: int, src: int, dst: int, slot0: int,
                  duration: int, cycle: int) -> None:
@@ -71,8 +69,6 @@ class Connection:
         self.next_round_min = 0       #: earliest cycle of the next free round
         self.retries = 0
         self.uses = 0
-        self.deadline = 0             #: cycle the pending op times out at
-        self.retry_at = 0             #: backoff: earliest re-setup cycle
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Connection(#{self.conn_id} {self.src}->{self.dst} "
@@ -92,26 +88,17 @@ class CSPlan(NamedTuple):
 
 
 class ConnectionManager(SimObject):
-    """Per-node controller of circuit setups, usage and teardown.
+    """Per-node controller of circuit setups, usage and teardown."""
 
-    With ``cfg.circuit.setup_timeout > 0`` the manager also runs in the
-    simulator's ``control`` phase (the builder registers it) and becomes
-    loss-tolerant: pending setups and teardown walks time out, retry with
-    bounded exponential backoff, and repeatedly-failing destination pairs
-    are demoted to pure packet switching for a cool-down period."""
-
-    # Connection objects are shared between ``connections``, ``by_id``
-    # and ``_tearing``; the single-pass snapshot freeze preserves that
-    # sharing.  Wiring (ni/router/mesh/clock/cfg/dlt/decision_fn/...) is
-    # rebuilt by the network constructor and excluded.
+    # Connection objects are shared between ``connections`` and
+    # ``by_id``; the single-pass snapshot freeze preserves that sharing.
+    # Wiring (ni/router/mesh/clock/cfg/dlt/decision_fn/...) is rebuilt by
+    # the network constructor and excluded.
     _state_attrs = (
         "connections", "by_id", "_dst_counts", "_window_end",
-        "_vicinity_fail", "_tearing", "_fail_streak", "_demoted",
-        "_fault_since", "_nacked", "recovery_samples",
+        "_vicinity_fail",
         "setups_sent", "setups_ok", "setups_failed", "teardowns_sent",
-        "cs_messages", "shared_messages", "setups_timed_out",
-        "teardowns_timed_out", "teardowns_confirmed", "circuits_nacked",
-        "pairs_demoted")
+        "cs_messages", "shared_messages")
 
     def __init__(self, node: int, cfg: NetworkConfig, clock: SlotClock,
                  mesh: Mesh, ni, router,
@@ -143,14 +130,6 @@ class ConnectionManager(SimObject):
         self._window_end = cfg.circuit.freq_window
         self._vicinity_fail: Dict[int, SaturatingCounter] = {}
 
-        # resilience state (inert unless circuit.setup_timeout > 0)
-        self._tearing: Dict[int, Connection] = {}   # conn_id -> conn
-        self._fail_streak: Dict[int, int] = {}      # dst -> consecutive fails
-        self._demoted: Dict[int, int] = {}          # dst -> demoted until
-        self._fault_since: Dict[int, int] = {}      # dst -> first-failure cycle
-        self._nacked: Set[int] = set()              # conn ids already NACKed
-        self.recovery_samples: List[int] = []       # fault -> re-ACK latency
-
         # statistics
         self.setups_sent = 0
         self.setups_ok = 0
@@ -158,11 +137,6 @@ class ConnectionManager(SimObject):
         self.teardowns_sent = 0
         self.cs_messages = 0
         self.shared_messages = 0
-        self.setups_timed_out = 0
-        self.teardowns_timed_out = 0
-        self.teardowns_confirmed = 0
-        self.circuits_nacked = 0
-        self.pairs_demoted = 0
 
         #: trace recorder; NULL_RECORDER keeps every guarded emission
         #: site a single falsy attribute check (never snapshot state)
@@ -174,7 +148,7 @@ class ConnectionManager(SimObject):
     # ------------------------------------------------------------------
     @property
     def reserve_duration(self) -> int:
-        return self.ccfg.duration + (1 if self.ccfg.vicinity else 0)
+        return self.ccfg.reserve_duration
 
     # ------------------------------------------------------------------
     # per-message planning (called from the NI's send path)
@@ -301,12 +275,6 @@ class ConnectionManager(SimObject):
     def _maybe_setup(self, dst: int, now: int, force: bool = False) -> None:
         if dst == self.node or dst in self.connections:
             return
-        until = self._demoted.get(dst)
-        if until is not None:
-            if now < until:
-                return   # pair demoted to packet switching: no new setups
-            del self._demoted[dst]
-            self._fail_streak.pop(dst, None)
         self._evict_if_crowded(now)
         self._send_setup(dst, now)
 
@@ -317,12 +285,8 @@ class ConnectionManager(SimObject):
         """Pick a start slot whose window is free in the source router's
         local input table (cheap local filter before the network try).
 
-        Random probes spread reservations over the wheel; if all eight
-        miss, a deterministic wrap-around scan guarantees that an existing
-        free window is found.  The scan draws nothing from the RNG; it is
-        part of the resilience protocol (``setup_timeout > 0``) so base
-        runs keep the seed's exact setup stream (the probabilistic
-        give-up included)."""
+        Eight random probes spread reservations over the wheel; if all
+        miss, the setup is given up (the pair re-qualifies later)."""
         active = self.clock.active
         table = self.router.slot_state.in_tables[LOCAL]
         rng = self.router.rng
@@ -335,10 +299,6 @@ class ConnectionManager(SimObject):
             start = int(rng.integers(active))
             if window_free(start):
                 return start
-        if self.ccfg.resilience_enabled:
-            for start in range(active):
-                if window_free(start):
-                    return start
         return None
 
     def _send_setup(self, dst: int, now: int,
@@ -356,15 +316,11 @@ class ConnectionManager(SimObject):
             self.by_id[conn.conn_id] = conn
         else:
             # retry: fresh id so stale partial reservations cannot alias
-            # (a timed-out conn was already dropped from by_id)
             self.by_id.pop(conn.conn_id, None)
             conn.conn_id = _conn_ids()
             conn.slot0 = slot0
             conn.state = ConnState.PENDING
             self.by_id[conn.conn_id] = conn
-        if self.ccfg.resilience_enabled:
-            conn.deadline = now + self.ccfg.setup_timeout
-            conn.retry_at = 0
         payload = ConfigPayload(ConfigType.SETUP, self.node, dst, slot0,
                                 duration, conn.conn_id)
         self._send_config(dst, payload, now)
@@ -381,12 +337,8 @@ class ConnectionManager(SimObject):
         self.ni.enqueue_ps(msg)
 
     def teardown(self, conn: Connection, now: int) -> None:
-        """Send a teardown walking the tables from this source.
-
-        Under the resilience protocol the connection enters TEARING and
-        stays registered until the terminal router's TEARDOWN_ACK confirms
-        the walk (or the retry budget runs out); otherwise it is forgotten
-        fire-and-forget, as in the base protocol."""
+        """Send a teardown walking the tables from this source and forget
+        the connection (fire-and-forget, as in the paper's protocol)."""
         payload = ConfigPayload(ConfigType.TEARDOWN, self.node, conn.dst,
                                 conn.slot0, conn.duration, conn.conn_id)
         self._send_config(conn.dst, payload, now)
@@ -395,14 +347,7 @@ class ConnectionManager(SimObject):
             self.obs.cs_teardown(now, self._obs_track,
                                  conn.conn_id, "send")
         self.connections.pop(conn.dst, None)
-        if self.ccfg.resilience_enabled:
-            conn.state = ConnState.TEARING
-            conn.deadline = now + self.ccfg.setup_timeout
-            conn.retries = 0
-            self._tearing[conn.conn_id] = conn
-            # stays in by_id so the orphan GC treats its slots as live
-        else:
-            self.by_id.pop(conn.conn_id, None)
+        self.by_id.pop(conn.conn_id, None)
 
     def _evict_if_crowded(self, now: int) -> None:
         """Destroy the most idle connection when the local table is
@@ -438,18 +383,6 @@ class ConnectionManager(SimObject):
             self._on_ack(payload, cycle, success=True)
         elif payload.ctype == ConfigType.ACK_FAIL:
             self._on_ack(payload, cycle, success=False)
-        elif payload.ctype == ConfigType.TEARDOWN_ACK:
-            conn = self._tearing.pop(payload.conn_id, None)
-            if conn is not None:
-                self.by_id.pop(conn.conn_id, None)
-                self.teardowns_confirmed += 1
-        elif payload.ctype == ConfigType.NACK_CIRCUIT:
-            # a mid-path router reports this circuit crosses a dead link
-            conn = self.by_id.get(payload.conn_id)
-            if conn is not None and conn.state is ConnState.ACTIVE:
-                self.circuits_nacked += 1
-                self._note_pair_failure(conn.dst, cycle)
-                self.teardown(conn, cycle)
         # teardown messages never terminate via the NI (they are consumed
         # inside routers), but ignore gracefully if one does
 
@@ -489,11 +422,6 @@ class ConnectionManager(SimObject):
             conn.state = ConnState.ACTIVE
             conn.next_round_min = 0
             self.setups_ok += 1
-            since = self._fault_since.pop(conn.dst, None)
-            if since is not None:
-                # the pair recovered: a working circuit exists again
-                self.recovery_samples.append(cycle - since)
-            self._fail_streak.pop(conn.dst, None)
             return
         self.setups_failed += 1
         # destroy any partial reservations left along the path
@@ -508,111 +436,14 @@ class ConnectionManager(SimObject):
             self.by_id.pop(conn.conn_id, None)
 
     # ------------------------------------------------------------------
-    # resilience: timeouts, backoff, demotion (control phase)
+    # named by the benchmark's layer map (``bench/trace.py`` LAYERS),
+    # which wraps them by name; nothing calls them
     # ------------------------------------------------------------------
-    def control(self, cycle: int) -> None:
-        """Time out lost setups / teardown walks (resilience mode only;
-        the builder registers the manager as a SimObject only when
-        ``circuit.setup_timeout > 0``)."""
-        if not self.ccfg.resilience_enabled:
-            return
-        for conn in list(self.connections.values()):
-            if conn.state is not ConnState.PENDING:
-                continue
-            if conn.retry_at:
-                if cycle >= conn.retry_at:
-                    conn.retry_at = 0
-                    self._send_setup(conn.dst, cycle, conn=conn)
-            elif conn.deadline and cycle >= conn.deadline:
-                self._on_setup_timeout(conn, cycle)
-        for conn in list(self._tearing.values()):
-            if cycle >= conn.deadline:
-                self._on_teardown_timeout(conn, cycle)
-
-    def _backoff(self, retries: int) -> int:
-        t = self.ccfg.setup_timeout
-        return min(t * self.ccfg.backoff_factor ** (retries - 1),
-                   t * self.ccfg.backoff_cap)
-
-    def _on_setup_timeout(self, conn: Connection, cycle: int) -> None:
-        """The SETUP or its acknowledgement was lost: clear any partial
-        path, then retry after a backoff (or give up and demote)."""
-        self.setups_timed_out += 1
-        if self.obs.enabled:
-            self.obs.cs_setup(cycle, self._obs_track,
-                              conn.conn_id, "timeout")
-        tear = ConfigPayload(ConfigType.TEARDOWN, self.node, conn.dst,
-                             conn.slot0, conn.duration, conn.conn_id)
-        self._send_config(conn.dst, tear, cycle)
-        self.teardowns_sent += 1
-        # drop the id: a delayed (not lost) ack now takes the stale-ack
-        # path, which tears its reservations down idempotently
-        self.by_id.pop(conn.conn_id, None)
-        if conn.retries < self.ccfg.max_setup_retries:
-            conn.retries += 1
-            conn.retry_at = cycle + self._backoff(conn.retries)
-        else:
-            self._note_pair_failure(conn.dst, cycle)
-            self.connections.pop(conn.dst, None)
-
-    def _on_teardown_timeout(self, conn: Connection, cycle: int) -> None:
-        """No TEARDOWN_ACK in time: re-walk, or abandon and leave the
-        leftovers to the orphan GC."""
-        self.teardowns_timed_out += 1
-        if self.obs.enabled:
-            self.obs.cs_teardown(cycle, self._obs_track,
-                                 conn.conn_id, "timeout")
-        if conn.retries < self.ccfg.max_setup_retries:
-            conn.retries += 1
-            conn.deadline = cycle + self._backoff(conn.retries)
-            payload = ConfigPayload(ConfigType.TEARDOWN, self.node,
-                                    conn.dst, conn.slot0, conn.duration,
-                                    conn.conn_id)
-            self._send_config(conn.dst, payload, cycle)
-            self.teardowns_sent += 1
-        else:
-            self._tearing.pop(conn.conn_id, None)
-            self.by_id.pop(conn.conn_id, None)
-
-    def _note_pair_failure(self, dst: int, cycle: int) -> None:
-        self._fault_since.setdefault(dst, cycle)
-        n = self._fail_streak.get(dst, 0) + 1
-        self._fail_streak[dst] = n
-        if n >= self.ccfg.demote_threshold:
-            self._demoted[dst] = cycle + self.ccfg.demote_cycles
-            self.pairs_demoted += 1
-            self._fail_streak.pop(dst, None)
-
-    # ------------------------------------------------------------------
-    # router fault callbacks (wired by the network builder)
-    # ------------------------------------------------------------------
-    def notify_circuit_fault(self, conn_id: int, src: int,
-                             cycle: int) -> None:
-        """This node's router diverted a circuit flit off a dead link;
-        tell the circuit's source once so it can tear down and demote."""
-        if not self.ccfg.resilience_enabled or conn_id in self._nacked:
-            return
-        self._nacked.add(conn_id)
-        nack = ConfigPayload(ConfigType.NACK_CIRCUIT, src, self.node,
-                             0, 0, conn_id)
-        if src == self.node:
-            self.on_config(nack, cycle)
-        else:
-            self._send_config(src, nack, cycle)
-
     def on_teardown_done(self, payload: ConfigPayload, cycle: int) -> None:
-        """This node's router completed a teardown walk; confirm it to
-        the source (resilience mode only — the base protocol is
-        fire-and-forget and must stay message-for-message identical)."""
-        if not self.ccfg.resilience_enabled:
-            return
-        ack = ConfigPayload(ConfigType.TEARDOWN_ACK, payload.orig_src,
-                            payload.orig_dst, payload.slot_id,
-                            payload.duration, payload.conn_id)
-        if payload.orig_src == self.node:
-            self.on_config(ack, cycle)
-        else:
-            self._send_config(payload.orig_src, ack, cycle)
+        """No-op: teardown walks are fire-and-forget."""
+
+    def control(self, cycle: int) -> None:
+        """No-op: the manager is not registered with the simulator."""
 
     # ------------------------------------------------------------------
     def reset_all(self) -> None:
@@ -621,7 +452,5 @@ class ConnectionManager(SimObject):
         self.by_id.clear()
         self._dst_counts.clear()
         self._vicinity_fail.clear()
-        self._tearing.clear()
-        self._fail_streak.clear()
         if self.dlt is not None:
             self.dlt.clear()

@@ -81,34 +81,6 @@ class HybridNetwork(Network):
             manager.dlt = router.dlt
             router.rebind_cs_injections(ni)
 
-    # ------------------------------------------------------------------
-    # resilience: orphaned-reservation GC
-    # ------------------------------------------------------------------
-    def collect_orphans(self) -> int:
-        """Release slot reservations whose connection no source manager
-        knows (lost teardowns, abandoned walks).  Returns slots freed."""
-        live = set()
-        for m in self.managers:
-            live.update(m.by_id)
-        freed = 0
-        for router in self.routers:
-            st = router.slot_state
-            for inport, table in enumerate(st.in_tables):
-                for slot in range(self.clock.active):
-                    if not table.valid[slot]:
-                        continue
-                    conn = table.conn[slot]
-                    if conn in live:
-                        continue
-                    outport = table.outport[slot]
-                    table.clear(slot)
-                    st.out_owner[outport][slot] = -1
-                    if router.dlt is not None:
-                        router.dlt.remove_conn(conn)
-                    router.counters.inc("orphan_slot_gc")
-                    freed += 1
-        return freed
-
 
 def build_hybrid_network(
     cfg: NetworkConfig,
@@ -120,8 +92,7 @@ def build_hybrid_network(
     managers, DLTs (when path sharing is on) and the dynamic slot-table
     size controller."""
     st = cfg.slot_table
-    active = st.initial_active if st.dynamic_sizing else st.size
-    clock = SlotClock(st.size, active=active)
+    clock = SlotClock(st.size, active=st.reset_wheel)
 
     net: HybridNetwork = _build(
         cfg, sim,
@@ -151,12 +122,5 @@ def build_hybrid_network(
         ni.manager = manager
         ni.config_handler = manager.on_config
         router.on_setup_rejected = manager.on_setup_rejected
-        router.on_circuit_fault = manager.notify_circuit_fault
-        router.on_teardown_done = manager.on_teardown_done
-        if cfg.circuit.resilience_enabled:
-            # timeouts/backoff run in the control phase; base-protocol
-            # runs never register the manager (zero overhead, identical
-            # message streams)
-            sim.add(manager)
         net.managers.append(manager)
     return net

@@ -53,12 +53,6 @@ class HybridRouter(PacketRouter):
         self.dlt = None                      # node DLT (sharing enabled)
         #: manager callback for setups this router rejects
         self.on_setup_rejected: Optional[Callable] = None
-        #: called (conn_id, circuit_src, cycle) when a circuit flit hit a
-        #: dead link here and was diverted to the packet-switched network
-        self.on_circuit_fault: Optional[Callable] = None
-        #: called (payload, cycle) when a teardown walk completed its
-        #: full path at this router (terminal hop)
-        self.on_teardown_done: Optional[Callable] = None
         self._cs_inject: Dict[int, List[CSInjection]] = {}
         #: True while any crossbar-usage flag is set — lets transfer skip
         #: the per-port reset loops on circuit-free cycles (derived from
@@ -69,13 +63,6 @@ class HybridRouter(PacketRouter):
     # phases
     # ------------------------------------------------------------------
     def transfer(self, cycle: int) -> None:
-        if cycle < self.stalled_until:
-            # a frozen pipeline takes no circuit injection: the ones
-            # falling due now fail over to packet switching
-            for inj in self._cs_inject.pop(cycle, ()):
-                if not inj.token.get("cancelled"):
-                    inj.on_fail(inj.flit)
-            return
         if self._cs_flags_dirty:
             cs_in = self._cs_in_used
             cs_out = self._cs_out_used
@@ -111,23 +98,7 @@ class HybridRouter(PacketRouter):
         slot = self.clock.slot(cycle)
         hit = self.slot_state.lookup_in(inport, slot)
         if hit is not None:
-            outport, conn = hit
-            if not self._link_up(outport):
-                # the circuit crosses a dead link: divert the flit to the
-                # local NI; the hop-off path carries the packet onward
-                # through the (fault-aware) packet-switched network, and
-                # the source is notified so it can tear down / demote
-                self.counters.inc("cs_link_fault")
-                if self.obs.enabled:
-                    self.obs.cs_orphan(cycle, self._obs_track,
-                                       flit.packet.id, "link_fault")
-                if flit.is_head and self.on_circuit_fault is not None:
-                    self.on_circuit_fault(conn, flit.packet.src, cycle)
-                flit.is_circuit = False
-                flit.packet.circuit = False
-                self._cs_traverse(inport, LOCAL, flit, cycle, orphan=True)
-                return
-            self._cs_traverse(inport, outport, flit, cycle)
+            self._cs_traverse(inport, hit[0], flit, cycle)
             return
         # Orphaned circuit flit: its reservation disappeared mid-flight
         # (teardown race or a dynamic-sizing table reset).  Eject it here;
@@ -156,14 +127,11 @@ class HybridRouter(PacketRouter):
             counts["link"] = counts.get("link", 0) + 1
         flit.packet.hops_taken += 1
         ol = self.out_links[outport]
-        if ol.faulty:
-            ol.send(flit, cycle)        # slow path keeps drop accounting
-        else:
-            ol._pipe.append((cycle + ol.latency, flit))
-            ol.flits_carried += 1
-            ws = ol.wake_sink
-            if ws is not None and not ws._sim_awake:
-                ws.sim_wake()
+        ol._pipe.append((cycle + ol.latency, flit))
+        ol.flits_carried += 1
+        ws = ol.wake_sink
+        if ws is not None and not ws._sim_awake:
+            ws.sim_wake()
 
     # ------------------------------------------------------------------
     def schedule_cs_injection(self, cycle: int, flit: Flit,
@@ -205,12 +173,6 @@ class HybridRouter(PacketRouter):
                     inj.on_fail(inj.flit)   # contention with the owner
                     continue
             if self._cs_out_used[outport]:
-                inj.on_fail(inj.flit)
-                continue
-            if not self._link_up(outport):
-                # first hop of the circuit is dead: fall back to packet
-                # switching before the flit ever enters the fabric
-                self.counters.inc("cs_link_fault")
                 inj.on_fail(inj.flit)
                 continue
             self._cs_traverse(LOCAL, outport, inj.flit, cycle)
@@ -282,7 +244,7 @@ class HybridRouter(PacketRouter):
         if payload.ctype == ConfigType.TEARDOWN:
             return self._process_teardown(inport, pkt, payload, cycle)
         # acknowledgements route adaptively like any config packet
-        return self._route_adaptive(pkt, inport)
+        return self._route_adaptive(pkt)
 
     def _process_setup(self, inport: int, pkt, payload,
                        cycle: int) -> Optional[int]:
@@ -304,11 +266,6 @@ class HybridRouter(PacketRouter):
             candidates = [LOCAL]
         else:
             candidates = self._adaptive_candidates_by_credit(pkt)
-            if (self.link_health is not None
-                    and self.link_health.any_faults):
-                # never reserve a circuit across a dead link; an empty
-                # candidate list falls through to the rejection below
-                candidates = [p for p in candidates if self._link_up(p)]
         for outport in candidates:
             if st.can_reserve(inport, outport, slot, dur):
                 st.reserve(inport, outport, slot, dur, payload.conn_id)
@@ -359,13 +316,10 @@ class HybridRouter(PacketRouter):
         if self.dlt is not None:
             self.dlt.remove_conn(payload.conn_id)
         if outport == LOCAL:
-            # full path torn down; under the resilience protocol this
-            # node confirms the walk back to the source
+            # full path torn down
             if self.obs.enabled:
                 self.obs.cs_teardown(cycle, self._obs_track,
                                      payload.conn_id, "done")
-            if self.on_teardown_done is not None:
-                self.on_teardown_done(payload, cycle)
             return None
         payload.slot_id = self.clock.advance2[slot]
         return outport

@@ -415,89 +415,6 @@ def ablation_gating_metric(gpu_benchmark: str = "HOTSPOT",
         rows=rows)
 
 
-def fault_sweep(scheme: str = "hybrid_tdm_vc4",
-                pattern: str = "transpose", rate: float = 0.20,
-                drop_rates: Sequence[float] = (0.0, 0.005, 0.01, 0.02,
-                                               0.05),
-                link_faults: int = 2, width: int = 8, height: int = 8,
-                setup_timeout: int = 256, seed: int = 7,
-                warmup: int = 1500, measure: int = 6000,
-                drain: int = 1000) -> ExperimentResult:
-    """Resilience under injected faults: delivered fraction and circuit
-    recovery latency vs CONFIG-message drop rate, with ``link_faults``
-    permanent bidirectional link failures landing mid-measurement.
-
-    Every row runs the full harness: seeded fault plan, setup/teardown
-    timeouts with backoff, fault-aware routing, orphan GC, and the
-    conservation/liveness watchdog.  ``delivered`` is the flit-exact
-    fraction ``ejected / injected`` after a bounded drain, so wedged or
-    dropped flits show up directly; ``stuck_pending`` counts connections
-    left in PENDING past their timeout bound (must be 0)."""
-    from dataclasses import replace
-
-    from repro.core.circuit import ConnState
-    from repro.network.network import build_network
-    from repro.sim.kernel import LivelockError, Simulator
-    from repro.traffic import attach_synthetic_sources, make_pattern
-
-    rows: List[Sequence] = []
-    fail_cycle = scaled(warmup) + scaled(measure) // 4
-    for drop in drop_rates:
-        cfg = scheme_config(scheme, width=width, height=height)
-        cfg = replace(
-            cfg,
-            circuit=replace(cfg.circuit, setup_timeout=setup_timeout),
-            faults=replace(cfg.faults, enabled=True,
-                           config_drop_rate=drop,
-                           link_fail_count=link_faults,
-                           link_fail_cycle=fail_cycle))
-        sim = Simulator(seed=seed)
-        net = build_network(cfg, sim)
-        pat = make_pattern(pattern, net.mesh, sim.rng)
-        attach_synthetic_sources(net, pat, injection_rate=rate,
-                                 rng=sim.rng)
-        note = ""
-        try:
-            sim.run(scaled(warmup))
-            net.reset_stats()
-            sim.run(scaled(measure))
-            # bounded drain: stop offering load, let the fabric empty
-            for ni in net.interfaces:
-                if ni.endpoint is not None:
-                    ni.endpoint.msg_prob = 0.0
-            sim.run(scaled(drain))
-        except LivelockError as exc:
-            note = f"livelock@{exc.cycle}"
-        led = net.ledger
-        delivered = led.ejected / max(1, led.injected)
-        managers = getattr(net, "managers", [])
-        recov = [s for m in managers for s in m.recovery_samples]
-        recov_mean = sum(recov) / len(recov) if recov else float("nan")
-        now = sim.cycle
-        stuck = sum(
-            1 for m in managers for c in m.connections.values()
-            if c.state is ConnState.PENDING
-            and ((c.retry_at and now > c.retry_at + 1)
-                 or (not c.retry_at and c.deadline
-                     and now > c.deadline + 1)))
-        wd = net.fault_harness.watchdog if net.fault_harness else None
-        rows.append((
-            drop, delivered, recov_mean,
-            sum(m.setups_timed_out for m in managers),
-            sum(m.teardowns_timed_out for m in managers),
-            sum(ni.config_drops for ni in net.interfaces),
-            sum(m.pairs_demoted for m in managers),
-            wd.audit_violations if wd is not None else -1,
-            net.conservation_imbalance(), stuck, note))
-    return ExperimentResult(
-        name=f"Fault sweep: {scheme} {pattern} @ {rate}, "
-             f"{link_faults} permanent link faults at cycle {fail_cycle}",
-        headers=("cfg_drop", "delivered", "recov_lat", "setup_to",
-                 "tear_to", "cfg_drops", "demoted", "audit_viol",
-                 "imbalance", "stuck_pending", "note"),
-        rows=rows)
-
-
 def ablation_vc_gating(gpu_benchmark: str = "HOTSPOT",
                        cpu_benchmark: str = "EQUAKE", seed: int = 3,
                        warmup: int = 1500,

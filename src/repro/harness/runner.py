@@ -6,7 +6,7 @@ so runs are cycle-budgeted and scaled by ``REPRO_SCALE`` (default 1.0 ~
 a few thousand measured cycles per point; 4.0 approaches paper-length
 statistics for overnight runs).
 
-Robustness: a run that livelocks (the fault watchdog raising
+Robustness: a run that livelocks (the network's watchdog raising
 :class:`~repro.sim.kernel.LivelockError`) is reported as a failed
 :class:`SynthRun` (``note`` set, stats as measured up to the stall)
 instead of aborting a whole sweep.  Long runs can be checkpointed
@@ -79,8 +79,8 @@ def prepare_synthetic(scheme: str, pattern: str, rate: float,
     This is the canonical construction path: snapshot restore requires
     rebuilding an *identical* object graph, so everything that runs a
     synthetic workload — including the replay verifier — must go through
-    here (construction order matters: fault planning and traffic
-    attachment draw from the seeded generator).  ``engine`` selects the
+    here (construction order matters: traffic attachment draws from the
+    seeded generator).  ``engine`` selects the
     scheduler ("fast" activity-tracked, "legacy" run-everything);
     None means
     :func:`~repro.sim.kernel.default_engine` (the ``REPRO_ENGINE``
@@ -170,7 +170,7 @@ def run_synthetic(scheme: str, pattern: str, rate: float,
                 manager.save(capture_state(sim, net), sim.cycle)
     except LivelockError as exc:
         # degrade gracefully: report the point as failed/saturated with
-        # whatever was measured up to the stall (mirrors fault_sweep)
+        # whatever was measured up to the stall
         note = f"livelock@{exc.cycle}"
 
     if observability is not None:

@@ -31,10 +31,10 @@ the pure comparison core).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.config import FaultConfig, scheme_config
+from repro.config import scheme_config
 from repro.harness.runner import prepare_synthetic
 from repro.sim.checkpoint import capture_state, restore_state, state_hash
 from repro.sim.kernel import LivelockError, check_engine
@@ -232,7 +232,7 @@ def verify_equivalence(scheme: str, pattern: str = "uniform_random",
                        slot_table_size: int = 32,
                        stop_cycle: int | None = None,
                        engines: Sequence[str] = DEFAULT_ENGINES,
-                       faults: Dict | None = None) -> EquivalenceReport:
+                       ) -> EquivalenceReport:
     """Run one workload under N engines, compare state at checkpoints.
 
     Every run is built through :func:`prepare_synthetic` from the same
@@ -242,12 +242,7 @@ def verify_equivalence(scheme: str, pattern: str = "uniform_random",
     with the first (baseline) engine's.  ``stop_cycle``, when set,
     stops the traffic sources mid-run so the drain/quiescent path —
     where the fast engine sleeps components — is exercised, not just
-    the saturated path.
-    ``faults``, when set, is a dict of
-    :class:`~repro.config.FaultConfig` field overrides enabling the
-    fault-injection subsystem for every engine (which makes the
-    fast engine fall back to run-everything scheduling — the
-    differential check then guards exactly that fallback)."""
+    the saturated path."""
     if interval < 1:
         raise ValueError("interval must be >= 1")
     engines = tuple(engines)
@@ -259,8 +254,6 @@ def verify_equivalence(scheme: str, pattern: str = "uniform_random",
             raise ValueError(f"duplicate engine {name!r}")
     cfg = scheme_config(scheme, width=width, height=height,
                         slot_table_size=slot_table_size)
-    if faults is not None:
-        cfg = replace(cfg, faults=FaultConfig(enabled=True, **faults))
 
     # The runs execute SEQUENTIALLY, not interleaved: the id allocators
     # are module globals, so two simultaneously-live runs would draw

@@ -36,14 +36,6 @@ class ConfigType(IntEnum):
     TEARDOWN = 1
     ACK_SUCCESS = 2
     ACK_FAIL = 3
-    #: confirmation that a teardown walk reached the connection endpoint
-    #: (only emitted when the resilience layer is enabled; lets the
-    #: source bound how long a TEARING record is retained)
-    TEARDOWN_ACK = 4
-    #: mid-path notification that an ACTIVE circuit crosses a dead link
-    #: (fault injection); tells the source to tear the circuit down and
-    #: demote the pair if its circuits keep dying
-    NACK_CIRCUIT = 5
 
 
 class ConfigPayload:
@@ -143,7 +135,7 @@ class Packet:
 
     __slots__ = ("id", "msg", "src", "dst", "size", "mclass", "circuit",
                  "inject_cycle", "eject_cycle", "plane", "hops_taken",
-                 "flits_received", "dropped", "misroutes")
+                 "flits_received")
 
     def __init__(self, msg: Message, src: int, dst: int, size: int,
                  circuit: bool = False) -> None:
@@ -159,8 +151,6 @@ class Packet:
         self.plane: Optional[int] = None  # SDM only
         self.hops_taken = 0
         self.flits_received = 0  # reassembly progress (packet-global)
-        self.dropped = False     # killed by a fault; trailing flits discard
-        self.misroutes = 0       # non-minimal hops taken around dead links
 
     def make_flits(self) -> list:
         """Build this packet's flit train."""

@@ -108,9 +108,6 @@ class NetworkInterface(SimObject):
         self.on_message_delivered: Optional[Callable] = None
         #: shared conservation ledger (network builder replaces it)
         self.ledger = ConservationLedger()
-        #: fault hook: () -> bool, True to lose an outgoing CONFIG message
-        self.config_loss_fn: Optional[Callable[[], bool]] = None
-        self.config_drops = 0   #: CONFIG messages lost to injected faults
         #: transient: precomputed injection VC orders (built lazily, after
         #: subclasses have fixed up total_vcs/config_vc)
         self._vc_orders = None
@@ -130,14 +127,6 @@ class NetworkInterface(SimObject):
         self.enqueue_ps(msg)
 
     def enqueue_ps(self, msg: Message, size_kind: Optional[str] = None) -> None:
-        if (msg.mclass == MessageClass.CONFIG
-                and self.config_loss_fn is not None
-                and self.config_loss_fn()):
-            # injected fault: the CONFIG message is lost before it ever
-            # becomes a flit (a lost SETUP / TEARDOWN / ACK)
-            self.config_drops += 1
-            self.counters.inc("config_dropped")
-            return
         if size_kind is None:
             size_kind = {
                 MessageClass.DATA: "ps_data",
@@ -312,14 +301,11 @@ class NetworkInterface(SimObject):
             flit = stream.popleft()
             local_credits[vc] -= 1
             il = self.inject_link
-            if il.faulty:
-                il.send(flit, cycle)    # slow path keeps drop accounting
-            else:
-                il._pipe.append((cycle + il.latency, flit))
-                il.flits_carried += 1
-                ws = il.wake_sink
-                if ws is not None and not ws._sim_awake:
-                    ws.sim_wake()
+            il._pipe.append((cycle + il.latency, flit))
+            il.flits_carried += 1
+            ws = il.wake_sink
+            if ws is not None and not ws._sim_awake:
+                ws.sim_wake()
             self.ledger.injected += 1
             counts = self.counters._counts
             counts["flit_injected"] = counts.get("flit_injected", 0) + 1
@@ -376,7 +362,6 @@ class NetworkInterface(SimObject):
             "received_messages": self.received_messages,
             "ps_latency_ewma": self.ps_latency_ewma,
             "cs_latency_ewma": self.cs_latency_ewma,
-            "config_drops": self.config_drops,
             "endpoint": None if self.endpoint is None
             else self.endpoint.state_dict(),
         }
@@ -393,7 +378,6 @@ class NetworkInterface(SimObject):
         self.received_messages = state["received_messages"]
         self.ps_latency_ewma = state["ps_latency_ewma"]
         self.cs_latency_ewma = state["cs_latency_ewma"]
-        self.config_drops = state["config_drops"]
         if self.endpoint is not None and state["endpoint"] is not None:
             self.endpoint.load_state_dict(state["endpoint"])
 

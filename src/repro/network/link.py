@@ -22,17 +22,9 @@ HOP_LATENCY = 2
 
 
 class FlitLink:
-    """Unidirectional flit pipeline between two routers (or router<->NI).
+    """Unidirectional flit pipeline between two routers (or router<->NI)."""
 
-    A link may be marked :attr:`faulty` by the fault-injection subsystem
-    (``repro.faults``): flits sent into a faulty link are dropped (the
-    wire is dead), reported through ``drop_sink`` so the conservation
-    ledger can account for them.  Flits already in the pipe when the
-    fault strikes were "on the wire" and still arrive.
-    """
-
-    __slots__ = ("latency", "_pipe", "flits_carried", "faulty",
-                 "flits_dropped", "drop_sink", "wake_sink")
+    __slots__ = ("latency", "_pipe", "flits_carried", "wake_sink")
 
     def __init__(self, latency: int = HOP_LATENCY) -> None:
         if latency < 1:
@@ -40,20 +32,12 @@ class FlitLink:
         self.latency = latency
         self._pipe: Deque[Tuple[int, Flit]] = deque()
         self.flits_carried = 0
-        self.faulty = False
-        self.flits_dropped = 0
-        self.drop_sink = None   # set by the LinkHealthMap when faults on
         #: consumer SimObject woken on send (wiring, excluded from state);
         #: latency >= 1 guarantees the wake precedes the arrival
         self.wake_sink = None
 
     def send(self, flit: Flit, cycle: int) -> None:
         """Enqueue *flit* during *cycle*; it arrives at ``cycle+latency``."""
-        if self.faulty:
-            self.flits_dropped += 1
-            if self.drop_sink is not None:
-                self.drop_sink(flit)
-            return
         self._pipe.append((cycle + self.latency, flit))
         self.flits_carried += 1
         ws = self.wake_sink
@@ -75,15 +59,11 @@ class FlitLink:
         return len(self._pipe)
 
     def state_dict(self) -> dict:
-        # drop_sink is wiring (re-attached by the fault subsystem)
-        return {"pipe": list(self._pipe), "flits_carried": self.flits_carried,
-                "faulty": self.faulty, "flits_dropped": self.flits_dropped}
+        return {"pipe": list(self._pipe), "flits_carried": self.flits_carried}
 
     def load_state_dict(self, state: dict) -> None:
         self._pipe = deque(state["pipe"])
         self.flits_carried = state["flits_carried"]
-        self.faulty = state["faulty"]
-        self.flits_dropped = state["flits_dropped"]
 
 
 class CreditLink:

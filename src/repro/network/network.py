@@ -6,7 +6,8 @@ mesh with flit links (2-cycle hop latency) and credit links (1 cycle).
 
 The :class:`Network` object is also the statistics boundary: packet and
 message latencies, flit/packet throughput and the aggregated per-router
-event counters that feed the energy model.
+event counters that feed the energy model.  Every built network carries
+one conservation/liveness :class:`~repro.sim.kernel.Watchdog`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,14 @@ from repro.network.interface import NetworkInterface
 from repro.network.link import CreditLink, FlitLink, HOP_LATENCY
 from repro.network.router import PacketRouter
 from repro.network.topology import LOCAL, Mesh, NUM_PORTS, opposite_port
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, Watchdog
 from repro.sim.stats import ConservationLedger, Counter, LatencySample
+
+#: cycles between watchdog checks (each one audits flit conservation)
+WATCHDOG_INTERVAL = 512
+#: consecutive no-progress checks, with flits in flight, that raise
+#: :class:`~repro.sim.kernel.LivelockError`
+WATCHDOG_PATIENCE = 4
 
 
 class Network:
@@ -44,8 +51,12 @@ class Network:
             r.ledger = self.ledger
         for ni in interfaces:
             ni.ledger = self.ledger
-        #: optional fault harness (set by repro.faults.attach_faults)
-        self.fault_harness = None
+        #: liveness/conservation watchdog, on in every simulation
+        self.watchdog = sim.add(Watchdog(
+            WATCHDOG_INTERVAL, WATCHDOG_PATIENCE,
+            progress_fn=lambda: self.ledger.progress,
+            in_flight_fn=self.in_flight_flits,
+            audit_fn=self._audit_report))
 
         # statistics ---------------------------------------------------
         self.measuring = True
@@ -138,8 +149,7 @@ class Network:
             "routers": [r.state_dict() for r in self.routers],
             "interfaces": [ni.state_dict() for ni in self.interfaces],
             "links": [link.state_dict() for link in self.links],
-            "faults": None if self.fault_harness is None
-            else self.fault_harness.state_dict(),
+            "watchdog": self.watchdog.state_dict(),
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -159,12 +169,9 @@ class Network:
         for ni, sub in zip(self.interfaces, state["interfaces"], strict=True):
             ni.load_state_dict(sub)
             ni.ledger = self.ledger
-        # links before faults: the fault harness re-syncs link-health
-        # flags from its own snapshot of the down set
         for link, sub in zip(self.links, state["links"], strict=True):
             link.load_state_dict(sub)
-        if self.fault_harness is not None and state["faults"] is not None:
-            self.fault_harness.load_state_dict(state["faults"])
+        self.watchdog.load_state_dict(state["watchdog"])
 
     # ------------------------------------------------------------------
     # aggregates
@@ -214,7 +221,7 @@ class Network:
         return n
 
     def conservation_imbalance(self) -> int:
-        """injected - (ejected + consumed + dropped) - in_network.
+        """injected - (ejected + consumed) - in_network.
 
         Zero at every phase boundary in a correct simulation; nonzero
         means flits were silently created or destroyed.
@@ -229,6 +236,13 @@ class Network:
         return (f"flit conservation violated: imbalance={imb} "
                 f"({self.ledger.as_dict()}, "
                 f"in_network={self.in_network_flits()})")
+
+    def _audit_report(self) -> Optional[Dict]:
+        """The watchdog's audit: ``None``, or the violation details."""
+        detail = self.audit_conservation()
+        if detail is None:
+            return None
+        return {"imbalance": self.conservation_imbalance(), "detail": detail}
 
     # ------------------------------------------------------------------
     # convenience
@@ -302,9 +316,6 @@ def build_network(cfg: NetworkConfig, sim: Simulator) -> Network:
         net = build_sdm_network(cfg, sim)
     else:
         raise ValueError(f"unknown switching mode {cfg.switching!r}")
-    if cfg.faults.enabled:
-        from repro.faults import attach_faults
-        attach_faults(net, sim)
     return net
 
 

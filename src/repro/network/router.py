@@ -35,8 +35,7 @@ from repro.config import NetworkConfig
 from repro.network.buffers import InputPort
 from repro.network.flit import Flit, FlitKind, MessageClass
 from repro.network.link import CreditLink, FlitLink
-from repro.network.routing import (MISROUTE_LIMIT, fault_aware_outports,
-                                   oe_candidate_outports, xy_outport)
+from repro.network.routing import oe_candidate_outports, xy_outport
 from repro.network.topology import LOCAL, Mesh, NUM_PORTS
 from repro.obs.trace import NULL_RECORDER
 from repro.sim.kernel import SimObject
@@ -104,15 +103,9 @@ class PacketRouter(SimObject):
         self.obs = NULL_RECORDER
         self._obs_track = f"router-{node}"
 
-        # resilience/fault-injection state --------------------------------
         #: shared flit-conservation ledger (the network builder replaces
         #: the private default with the network-wide instance)
         self.ledger = ConservationLedger()
-        #: link-health map consulted by routing when faults are injected
-        self.link_health = None
-        #: a fault-injected router stall freezes the transfer phase (the
-        #: pipeline clock is held) until this cycle
-        self.stalled_until = 0
 
         # fast-path transients (derived/wiring state, never snapshotted):
         #: owned downstream VCs per outport — lets switch allocation skip
@@ -200,8 +193,7 @@ class PacketRouter(SimObject):
         Gating routers never sleep: ``_sample_utilisation`` integrates
         VC occupancy (and the controller epochs) every single cycle.
         """
-        if self._buffered_flits or self.gating is not None \
-                or cycle < self.stalled_until:
+        if self._buffered_flits or self.gating is not None:
             return False
         for staged in self._arrivals:
             if staged:
@@ -215,8 +207,6 @@ class PacketRouter(SimObject):
         return True
 
     def transfer(self, cycle: int) -> None:
-        if cycle < self.stalled_until:
-            return
         self._write_arrivals(cycle)
         if self._buffered_flits:
             self._route_and_va(cycle)
@@ -237,9 +227,8 @@ class PacketRouter(SimObject):
         A router with a slot table pays one slot-table read per arrival
         ("for each incoming flit, the router looks up the slot table",
         Section II); circuit flits go to the subclass's
-        ``_demux_circuit`` and flits of fault-killed packets are
-        discarded.  The packet-switched write, the overwhelmingly common
-        case on a loaded epoch, runs without a per-flit call.
+        ``_demux_circuit``.  The packet-switched write, the overwhelmingly
+        common case on a loaded epoch, runs without a per-flit call.
         """
         arrivals = self._arrivals
         counts = self.counters._counts
@@ -256,12 +245,6 @@ class PacketRouter(SimObject):
             for flit in staged:
                 if flit.is_circuit:
                     self._demux_circuit(inport, flit, cycle)
-                elif flit.packet.dropped:
-                    # trailing flit of a packet already killed by a fault:
-                    # the buffer slot was never really claimed
-                    self.ledger.drop("packet_killed")
-                    self.counters.inc("flit_discarded")
-                    self._return_credit(inport, flit.vc, cycle)
                 else:
                     vcobj = in_ports[inport].vcs[flit.vc]
                     fifo = vcobj.fifo
@@ -304,18 +287,12 @@ class PacketRouter(SimObject):
                 if outport is None:
                     outport = self._compute_route(inport, head, cycle)
                     if outport is None:
-                        # packet consumed here (config processing) or
-                        # killed by a fault (dead-link drop)
+                        # packet consumed here (config processing)
                         vcobj.pop()
                         self._buffered_flits -= 1
                         port_buffered[inport] -= 1
                         self._return_credit(inport, invc, cycle)
-                        if head.packet.dropped:
-                            self.ledger.drop("packet_killed")
-                            self._drain_dropped(vcobj, head.packet,
-                                                inport, invc, cycle)
-                        else:
-                            self.ledger.consumed += 1
+                        self.ledger.consumed += 1
                         continue
                     vcobj.route_outport = outport
                     if self.obs.enabled:
@@ -349,15 +326,11 @@ class PacketRouter(SimObject):
         """Choose the output port for *head*'s packet at this router.
 
         Returns None when the packet is consumed here (configuration
-        messages in the hybrid router override) or killed by a fault
-        (``head.packet.dropped`` is then set).
+        messages in the hybrid router override).
         """
         pkt = head.packet
         if pkt.mclass == MessageClass.CONFIG:
-            return self._route_adaptive(pkt, inport)
-        lh = self.link_health
-        if lh is not None and lh.any_faults:
-            return self._route_fault_aware(inport, pkt)
+            return self._route_adaptive(pkt)
         # X-Y routing is a pure function of (this node, destination):
         # memoise it instead of re-deriving coordinates per packet
         out = self._xy_cache[pkt.dst]
@@ -366,41 +339,10 @@ class PacketRouter(SimObject):
                 self.mesh, self.node, pkt.dst)
         return out
 
-    def _route_adaptive(self, pkt, inport: int = LOCAL) -> Optional[int]:
-        """Minimal adaptive (odd-even) selection by downstream credit;
-        consults the link-health map when faults are injected."""
-        lh = self.link_health
-        if lh is not None and lh.any_faults:
-            return self._route_fault_aware(inport, pkt)
+    def _route_adaptive(self, pkt) -> int:
+        """Minimal adaptive (odd-even) selection by downstream credit."""
         cands = oe_candidate_outports(self.mesh, self.node, pkt.src, pkt.dst)
         return self._best_by_credit(cands)
-
-    def _route_fault_aware(self, inport: int, pkt) -> Optional[int]:
-        """Minimal-adaptive routing around dead links, with a bounded
-        non-minimal escape; undeliverable packets are dropped with cause."""
-        cands = fault_aware_outports(self.mesh, self.link_health,
-                                     self.node, pkt.src, pkt.dst,
-                                     arrival_port=inport)
-        if not cands:
-            pkt.dropped = True
-            self.counters.inc("pkt_dropped_unreachable")
-            return None
-        out = self._best_by_credit(cands)
-        minimal = oe_candidate_outports(self.mesh, self.node, pkt.src,
-                                        pkt.dst)
-        if out not in minimal:
-            pkt.misroutes += 1
-            if pkt.misroutes > MISROUTE_LIMIT:
-                pkt.dropped = True
-                self.counters.inc("pkt_dropped_misroute_limit")
-                return None
-            self.counters.inc("misroute")
-        return out
-
-    def _link_up(self, outport: int) -> bool:
-        """True when the output link is healthy (or no faults exist)."""
-        return (outport == LOCAL or self.link_health is None
-                or self.link_health.up(self.node, outport))
 
     def _best_by_credit(self, cands: List[int]) -> int:
         if len(cands) == 1:
@@ -526,31 +468,16 @@ class PacketRouter(SimObject):
                 vcobj.route_outport = None
                 vcobj.out_vc = None
             ol = out_links[outport]
-            if ol.faulty:
-                ol.send(flit, cycle)    # slow path keeps drop accounting
-            else:
-                ol._pipe.append((cycle + ol.latency, flit))
-                ol.flits_carried += 1
-                ws = ol.wake_sink
-                if ws is not None and not ws._sim_awake:
-                    ws.sim_wake()
+            ol._pipe.append((cycle + ol.latency, flit))
+            ol.flits_carried += 1
+            ws = ol.wake_sink
+            if ws is not None and not ws._sim_awake:
+                ws.sim_wake()
 
     def _return_credit(self, inport: int, invc: int, cycle: int) -> None:
         clink = self.credit_out[inport]
         if clink is not None:
             clink.send(invc, cycle)
-
-    def _drain_dropped(self, vcobj, pkt, inport: int, invc: int,
-                       cycle: int) -> None:
-        """Flush already-buffered flits of a fault-killed packet so the
-        VC does not wedge behind a headless wormhole."""
-        while vcobj.fifo and vcobj.fifo[0].packet is pkt:
-            vcobj.pop()
-            self._buffered_flits -= 1
-            self._port_buffered[inport] -= 1
-            self.ledger.drop("packet_killed")
-            self.counters.inc("flit_discarded")
-            self._return_credit(inport, invc, cycle)
 
     # ------------------------------------------------------------------
     # VC power gating support (controller lives in repro.core.vc_gating)
@@ -606,7 +533,7 @@ class PacketRouter(SimObject):
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Mutable router state; wiring (links, downstream refs, shared
-        ledger/rng/link-health) is rebuilt by the network constructor."""
+        ledger/rng) is rebuilt by the network constructor."""
         return {
             "in_ports": [p.state_dict() for p in self.in_ports],
             "arrivals": [list(a) for a in self._arrivals],
@@ -620,7 +547,6 @@ class PacketRouter(SimObject):
             "busy": (self._busy_accum, self._busy_samples,
                      self._qdelay_accum, self._qdelay_samples),
             "buffered_flits": self._buffered_flits,
-            "stalled_until": self.stalled_until,
             "gating": None if self.gating is None else self.gating.state_dict(),
             # every CreditLink is some router's credit_out (the side that
             # sends credits), so in-flight credits are captured exactly once
@@ -645,7 +571,6 @@ class PacketRouter(SimObject):
         (self._busy_accum, self._busy_samples,
          self._qdelay_accum, self._qdelay_samples) = state["busy"]
         self._buffered_flits = state["buffered_flits"]
-        self.stalled_until = state["stalled_until"]
         if self.gating is not None and state["gating"] is not None:
             self.gating.load_state_dict(state["gating"])
         for cl, sub in zip(self.credit_out, state["credit_pipes"],
@@ -655,12 +580,8 @@ class PacketRouter(SimObject):
 
     # ------------------------------------------------------------------
     def occupancy(self) -> int:
-        """Total buffered flits (used by drain checks and tests).
-
-        Includes arrivals staged during ``deliver`` that a stalled
-        router has not yet buffer-written, so the conservation audit
-        stays exact across fault-injected router stalls.
-        """
+        """Total buffered flits (used by drain checks and tests),
+        including arrivals staged by ``deliver`` and not yet written."""
         n = sum(p.occupancy() for p in self.in_ports)
         for staged in self._arrivals:
             n += len(staged)

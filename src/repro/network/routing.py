@@ -13,7 +13,7 @@ Both functions work on node ids of a :class:`~repro.network.topology.Mesh`.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.network.topology import EAST, LOCAL, Mesh, NORTH, SOUTH, WEST
 
@@ -92,66 +92,3 @@ def oe_candidate_outports(mesh: Mesh, cur: int, src: int, dst: int) -> List[int]
 
     assert avail, "odd-even routing must always offer a productive port"
     return avail
-
-
-# ---------------------------------------------------------------------------
-# fault-aware routing (graceful degradation under link faults)
-# ---------------------------------------------------------------------------
-#: non-minimal hops a packet may take around dead links before it is
-#: dropped as undeliverable (bounds escape-routing livelock)
-MISROUTE_LIMIT = 8
-
-
-def fault_aware_outports(mesh: Mesh, health, cur: int, src: int,
-                         dst: int, arrival_port: Optional[int] = None,
-                         ) -> List[int]:
-    """Productive output ports at *cur* towards *dst*, avoiding links the
-    *health* map reports dead.
-
-    Preference order:
-
-    1. healthy minimal-adaptive (odd-even) candidates — the normal case;
-    2. healthy non-minimal escape ports (excluding the port the packet
-       arrived on), used only when every minimal port is dead — callers
-       must bound these misroutes (:data:`MISROUTE_LIMIT`);
-    3. empty list: the destination is unreachable from here and the
-       packet should be dropped with cause.
-
-    ``health`` is any object with ``up(node, outport) -> bool`` (see
-    :class:`repro.faults.LinkHealthMap`); ``None`` means a perfect
-    fabric and yields the plain odd-even candidates.
-    """
-    cands = oe_candidate_outports(mesh, cur, src, dst)
-    if health is None or not health.any_faults:
-        return cands
-    healthy = [p for p in cands
-               if p == LOCAL or health.up(cur, p)]
-    if healthy:
-        # one-hop lookahead: avoid walking into a node whose every
-        # minimal continuation is dead (a dead-end pocket next to the
-        # fault) when a safer minimal candidate exists
-        def dead_end(p: int) -> bool:
-            if p == LOCAL:
-                return False
-            nbr = mesh.neighbor(cur, p)
-            if nbr == dst:
-                return False
-            return all(q != LOCAL and not health.up(nbr, q)
-                       for q in oe_candidate_outports(mesh, nbr, src, dst))
-        safe = [p for p in healthy if not dead_end(p)]
-        return safe or healthy
-    # minimal ports all dead: offer healthy escape ports (non-minimal)
-    escapes = []
-    for port in mesh.ports(cur):
-        if port in cands or port == arrival_port:
-            continue
-        if health.up(cur, port):
-            escapes.append(port)
-    if escapes:
-        return escapes
-    # last resort: go back where we came from rather than declare the
-    # destination unreachable (the misroute limit bounds ping-pong)
-    if arrival_port is not None and arrival_port != LOCAL \
-            and health.up(cur, arrival_port):
-        return [arrival_port]
-    return []

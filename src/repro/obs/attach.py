@@ -4,7 +4,7 @@
 optional :class:`MetricsRegistry` plus the output paths they write to.
 :meth:`Observability.attach` pushes the recorder onto every instrumented
 component (routers, NIs, connection managers, the slot-size controller,
-the fault harness and its watchdog, the simulator itself) and registers
+the network's watchdog, the simulator itself) and registers
 the metrics sampler with a standard gauge set; :meth:`finalize` takes a
 last sample and writes all configured files.
 
@@ -65,11 +65,7 @@ class Observability:
             controller = getattr(net, "size_controller", None)
             if controller is not None:
                 controller.obs = recorder
-            harness = getattr(net, "fault_harness", None)
-            if harness is not None:
-                harness.obs = recorder
-                if harness.watchdog is not None:
-                    harness.watchdog.obs = recorder
+            net.watchdog.obs = recorder
         if self.registry is not None:
             self._register_standard(sim, net)
             self.sampler = MetricsSampler(self.registry,
@@ -84,7 +80,6 @@ class Observability:
         reg.gauge("flits_injected", lambda: ledger.injected)
         reg.gauge("flits_ejected", lambda: ledger.ejected)
         reg.gauge("flits_consumed", lambda: ledger.consumed)
-        reg.gauge("flits_dropped", lambda: ledger.dropped_total)
         reg.gauge("in_flight", net.in_flight_flits)
         reg.gauge("messages_delivered", lambda: net.messages_delivered)
         reg.gauge("avg_latency", lambda: net.pkt_latency.mean)

@@ -84,21 +84,6 @@ class MetricsRegistry:
         self.samples.append(row)
         return row
 
-    def snapshot(self) -> Dict:
-        """Instantaneous counter + gauge values, without appending to
-        the time series.
-
-        Every poll sees live values, while the sampled series (driven
-        by :class:`MetricsSampler`) stays independent of how often it
-        is polled.  Gauges are polled now; non-finite values map to
-        None exactly as in sampled rows.
-        """
-        row: Dict = {name: _finite(value)
-                     for name, value in sorted(self.counters.items())}
-        for name, fn in sorted(self.gauges.items()):
-            row[name] = _finite(fn())
-        return row
-
     def as_dict(self, interval: int = 0) -> Dict:
         return {
             "format": METRICS_FORMAT,

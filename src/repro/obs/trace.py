@@ -2,7 +2,7 @@
 
 :class:`TraceRecorder` captures typed simulation events — flit
 inject/route/eject, circuit setup/teardown/ack walks, slot-steal grants,
-slot-wheel resizes, fault firings, watchdog verdicts — as plain dicts
+slot-wheel resizes, watchdog verdicts — as plain dicts
 validated against :data:`EVENT_SCHEMA`, and renders them as
 
 * **JSONL** (one event object per line, machine-greppable), and
@@ -40,15 +40,14 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
     "flit_route": ("pkt", "outport"),
     "flit_eject": ("pkt", "flit", "cs", "done"),
     # circuit control plane
-    "cs_setup": ("conn", "step"),      # send/reserve/reject/stale/timeout
-    "cs_teardown": ("conn", "step"),   # send/release/done/timeout
+    "cs_setup": ("conn", "step"),      # send/reserve/reject/stale
+    "cs_teardown": ("conn", "step"),   # send/release/done
     "cs_ack": ("conn", "ok"),
     "slot_steal": ("outport", "slot"),
-    "cs_orphan": ("pkt", "reason"),    # orphan (lost reservation)/link_fault
+    "cs_orphan": ("pkt", "reason"),    # orphan (lost reservation)
     "cs_fallback": ("pkt", "kind"),    # own/hitchhike/vicinity plan failed
     # controllers
     "resize": ("active", "generation"),
-    "fault": ("kind",),                # link_fail/transient/stall/slot_corrupt
     "livelock": ("in_flight", "stalled_cycles"),
     "audit_violation": ("imbalance",),
 }
@@ -59,7 +58,7 @@ _EVENT_CATEGORY: Dict[str, str] = {
     "cs_setup": "circuit", "cs_teardown": "circuit", "cs_ack": "circuit",
     "slot_steal": "circuit", "cs_orphan": "circuit",
     "cs_fallback": "circuit",
-    "resize": "control", "fault": "fault",
+    "resize": "control",
     "livelock": "watchdog", "audit_violation": "watchdog",
 }
 
@@ -218,9 +217,6 @@ class TraceRecorder:
                generation: int) -> None:
         self._emit("resize", cycle, track,
                    {"active": active, "generation": generation})
-
-    def fault(self, cycle: int, track: str, kind: str, **extra) -> None:
-        self._emit("fault", cycle, track, dict(extra, kind=kind))
 
     def livelock(self, cycle: int, track: str, in_flight: int,
                  stalled_cycles: int) -> None:

@@ -155,14 +155,11 @@ class SDMNetworkInterface(NetworkInterface):
             sent |= bit
             flit = stream.popleft()
             local_credits[vc] -= 1
-            if il.faulty:
-                il.send(flit, cycle)    # slow path keeps drop accounting
-            else:
-                il._pipe.append((cycle + il.latency, flit))
-                il.flits_carried += 1
-                ws = il.wake_sink
-                if ws is not None and not ws._sim_awake:
-                    ws.sim_wake()
+            il._pipe.append((cycle + il.latency, flit))
+            il.flits_carried += 1
+            ws = il.wake_sink
+            if ws is not None and not ws._sim_awake:
+                ws.sim_wake()
             self.ledger.injected += 1
             counts["flit_injected"] = counts.get("flit_injected", 0) + 1
             if not stream:

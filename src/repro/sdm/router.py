@@ -100,13 +100,6 @@ class SDMRouter(PacketRouter):
     # phases
     # ------------------------------------------------------------------
     def transfer(self, cycle: int) -> None:
-        if cycle < self.stalled_until:
-            # a frozen pipeline takes no circuit injection: the ones
-            # falling due now fail over to packet switching
-            for flit, _ok, on_fail, token in self._cs_inject.pop(cycle, ()):
-                if not token.get("cancelled"):
-                    on_fail(flit)
-            return
         if self._cs_flags_dirty:
             cleared = self._no_planes
             for row in self._cs_in_used:
@@ -327,14 +320,11 @@ class SDMRouter(PacketRouter):
                     vcobj.route_outport = None
                     vcobj.out_vc = None
                 ol = out_links[outport]
-                if ol.faulty:
-                    ol.send(flit, cycle)    # slow path keeps drop accounting
-                else:
-                    ol._pipe.append((cycle + ol.latency, flit))
-                    ol.flits_carried += 1
-                    ws = ol.wake_sink
-                    if ws is not None and not ws._sim_awake:
-                        ws.sim_wake()
+                ol._pipe.append((cycle + ol.latency, flit))
+                ol.flits_carried += 1
+                ws = ol.wake_sink
+                if ws is not None and not ws._sim_awake:
+                    ws.sim_wake()
 
     # ------------------------------------------------------------------
     # configuration processing: plane reservation

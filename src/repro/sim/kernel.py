@@ -38,10 +38,7 @@ The simulator ships two schedulers that are *behaviourally identical*
     restore.  Sleep is only entered after the component has executed a
     provably no-op cycle, so skipped phases never differ from the
     no-ops the legacy engine would have run, and ``state_hash`` stays
-    identical cycle for cycle.  Fault-injected runs disable sleeping
-    wholesale (:meth:`Simulator.disable_sleep`): fault events mutate
-    components behind the scheduler's back, and correctness beats speed
-    on those rare runs.
+    identical cycle for cycle.
 
     The scheduler keeps *awake lists*: per-phase lists holding only the
     components that must run (everything that cannot sleep, plus the
@@ -311,7 +308,6 @@ class Simulator:
         self._objects: List[SimObject] = []
         self._end_hooks: List[Callable[[int], None]] = []
         self._sleepables: List[SimObject] = []
-        self._sleep_enabled = engine == "fast"
         self._step = self._step_fast if engine == "fast" else self._step_legacy
         # fast-engine awake lists: per-phase lists holding only the
         # objects that must run this cycle (see the module docstring);
@@ -376,25 +372,13 @@ class Simulator:
     # sleep management (fast engine)
     # ------------------------------------------------------------------
     def wake_all(self) -> None:
-        """Wake every registered object (used after snapshot restore and
-        by :meth:`disable_sleep` — pending work may have appeared in
-        components the scheduler believed idle)."""
+        """Wake every registered object (used after snapshot restore —
+        pending work may have appeared in components the scheduler
+        believed idle)."""
         for obj in self._objects:
             obj._sim_awake = True
             obj._sim_in_lists = True
         self._wake_pending = True
-
-    def disable_sleep(self) -> None:
-        """Permanently fall back to run-everything scheduling.
-
-        Called by the fault-injection subsystem: fault events (link
-        kills, router stalls, packet drops) mutate components without
-        going through a wake hook, so activity tracking is unsound for
-        those runs.
-        """
-        self._sleep_enabled = False
-        self._step = self._step_legacy
-        self.wake_all()
 
     @property
     def sleeping_objects(self) -> int:

@@ -202,30 +202,22 @@ class ConservationLedger:
 
     Unlike the per-component :class:`Counter` objects, this ledger is
     never reset by a measurement-window restart: the invariant *every
-    injected flit is eventually ejected, consumed in a router, dropped
-    with a recorded cause, or still in the network* must hold over the
-    whole run.  All routers and NIs of one network share one instance.
+    injected flit is eventually ejected, consumed in a router, or still
+    in the network* must hold over the whole run.  All routers and NIs
+    of one network share one instance.
     """
 
-    __slots__ = ("injected", "ejected", "consumed", "dropped")
+    __slots__ = ("injected", "ejected", "consumed")
 
     def __init__(self) -> None:
         self.injected = 0    #: flits that entered a router from an NI
         self.ejected = 0     #: flits handed back to an NI
         self.consumed = 0    #: config flits consumed inside a router
-        self.dropped: Dict[str, int] = {}   #: cause -> flits dropped
-
-    def drop(self, cause: str, amount: int = 1) -> None:
-        self.dropped[cause] = self.dropped.get(cause, 0) + amount
-
-    @property
-    def dropped_total(self) -> int:
-        return sum(self.dropped.values())
 
     @property
     def progress(self) -> int:
         """Monotonic resolution count (the watchdog's liveness metric)."""
-        return self.ejected + self.consumed + self.dropped_total
+        return self.ejected + self.consumed
 
     def imbalance(self, in_network: int) -> int:
         """Flits unaccounted for given *in_network* flits still in
@@ -234,12 +226,11 @@ class ConservationLedger:
 
     def as_dict(self) -> Dict[str, float]:
         return {"injected": self.injected, "ejected": self.ejected,
-                "consumed": self.consumed, "dropped": self.dropped_total,
-                **{f"dropped_{k}": v for k, v in self.dropped.items()}}
+                "consumed": self.consumed}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ConservationLedger(inj={self.injected} ej={self.ejected}"
-                f" cons={self.consumed} drop={self.dropped})")
+                f" cons={self.consumed})")
 
 
 class WindowedRate:

@@ -66,8 +66,8 @@ class SyntheticSource(Endpoint):
         self.messages_received += 1
 
     def state_dict(self) -> dict:
-        # msg_prob is mutable at runtime (fault experiments drain traffic
-        # by zeroing it), so it is state, not derived configuration
+        # msg_prob is mutable at runtime (drain experiments zero it to
+        # stop offering load), so it is state, not derived configuration
         return {"injection_rate": self.injection_rate,
                 "msg_prob": self.msg_prob,
                 "stop_cycle": self.stop_cycle,

@@ -238,7 +238,6 @@ class TestChooseSlot:
     def test_base_protocol_probes_may_give_up(self):
         sim, net = build("hybrid_tdm_vc4", 6, 6)
         mgr = net.managers[0]
-        assert not mgr.ccfg.resilience_enabled
         net.clock.active = net.clock.max_size   # make probe hits rare
         free_start = net.clock.active - mgr.reserve_duration
         self._fill_all_but(net, mgr, free_start)
@@ -246,21 +245,3 @@ class TestChooseSlot:
                    for _ in range(20)]
         assert None in results                  # the 8 probes gave up
         assert set(results) <= {None, free_start}
-
-    def test_resilience_scan_always_finds_the_free_window(self):
-        from dataclasses import replace
-
-        from repro.config import scheme_config
-        from repro.network.network import build_network
-        from repro.sim.kernel import Simulator
-
-        cfg = scheme_config("hybrid_tdm_vc4", width=6, height=6)
-        cfg = replace(cfg, circuit=replace(cfg.circuit, setup_timeout=64))
-        sim = Simulator(seed=1)
-        net = build_network(cfg, sim)
-        mgr = net.managers[0]
-        net.clock.active = net.clock.max_size
-        free_start = net.clock.active - mgr.reserve_duration
-        self._fill_all_but(net, mgr, free_start)
-        for _ in range(20):
-            assert mgr._choose_slot(mgr.reserve_duration) == free_start

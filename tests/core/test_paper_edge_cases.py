@@ -74,8 +74,9 @@ class TestSlotWraparound:
             r.slot_state.reset()
         sim.run(200)
         assert sum(r.counters["setup_stale"] for r in net.routers) >= 1
-        # the resilience timeout retried with the new generation stamp:
-        # the recovered circuit walks cleanly on the NEW wheel
+        # the stale setup was rejected with an ACK_FAIL, and the retry
+        # carries the new generation stamp: the recovered circuit walks
+        # cleanly on the NEW wheel
         from repro.core.circuit import ConnState
         conn = net.managers[0].connections.get(35)
         assert conn is not None and conn.state is ConnState.ACTIVE

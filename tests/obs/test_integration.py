@@ -107,30 +107,6 @@ class TestTracedRun:
         assert "events" not in obs.finalize_summary
 
 
-class TestFaultTracing:
-    def test_fault_events_appear_in_trace(self, tmp_path):
-        from dataclasses import replace
-
-        from repro.config import scheme_config
-        cfg = scheme_config("hybrid_tdm_vc4", width=4, height=4,
-                            slot_table_size=64)
-        cfg = replace(
-            cfg,
-            circuit=replace(cfg.circuit, setup_timeout=64),
-            faults=replace(cfg.faults, enabled=True,
-                           link_fail_count=2, link_fail_cycle=100))
-        obs = Observability(trace_jsonl=str(tmp_path / "t.jsonl"))
-        run = _run(obs=obs, cfg=cfg)
-        assert run is not None
-        counts = obs.finalize_summary["counts"]
-        assert counts.get("fault", 0) == 2
-        events = [json.loads(line)
-                  for line in open(str(tmp_path / "t.jsonl"))]
-        faults = [e for e in events if e["ev"] == "fault"]
-        assert all(e["kind"] == "link_fail" and e["track"] == "sim"
-                   for e in faults)
-
-
 class TestSupervisedObsDumps:
     def test_point_dumps_land_next_to_results(self, tmp_path):
         from repro.harness.supervisor import (build_sweep_points,

@@ -35,24 +35,6 @@ class TestMetricsRegistry:
         assert h1 is h2
         assert isinstance(h1, Histogram)
 
-    def test_snapshot_reads_live_values_without_sampling(self):
-        """snapshot() is a live poll: it reads gauges now but never
-        appends to the sampled time series."""
-        reg = MetricsRegistry()
-        state = {"depth": 2}
-        reg.inc("jobs.submitted", 5)
-        reg.gauge("queue_depth", lambda: state["depth"])
-        snap = reg.snapshot()
-        assert snap == {"jobs.submitted": 5, "queue_depth": 2}
-        state["depth"] = 7
-        assert reg.snapshot()["queue_depth"] == 7
-        assert reg.samples == []         # scrapes leave the series alone
-
-    def test_snapshot_maps_non_finite_to_null(self):
-        reg = MetricsRegistry()
-        reg.gauge("bad", lambda: float("inf"))
-        assert reg.snapshot() == {"bad": None}
-
     def test_non_finite_gauge_becomes_null(self, tmp_path):
         reg = MetricsRegistry()
         reg.gauge("nan", lambda: float("nan"))

@@ -33,7 +33,6 @@ def _filled(max_events=500_000) -> TraceRecorder:
     rec.cs_orphan(40, "router-3", pkt=9, reason="orphan")
     rec.cs_fallback(41, "ni-2", pkt=9, kind="hitchhike")
     rec.resize(50, "sim", active=64, generation=1)
-    rec.fault(60, "sim", kind="link_fail", node=5, port=1)
     rec.livelock(70, "sim", in_flight=12, stalled_cycles=4000)
     rec.audit_violation(80, "sim", imbalance=2)
     return rec
@@ -69,7 +68,7 @@ class TestTraceRecorder:
         rec = _filled()
         assert rec.counts["cs_setup"] == 2
         summary = rec.summary()
-        assert summary["events"] == len(rec.events) == 14
+        assert summary["events"] == len(rec.events) == 13
         assert summary["dropped"] == 0
         assert summary["counts"]["flit_inject"] == 1
 
@@ -89,7 +88,7 @@ class TestTraceRecorder:
         setups = list(iter_events(rec.events, "cs_setup"))
         assert len(setups) == 2
         assert all(r["ev"] == "cs_setup" for r in setups)
-        assert len(list(iter_events(rec.events))) == 14
+        assert len(list(iter_events(rec.events))) == 13
 
 
 class TestValidateEvent:
@@ -99,7 +98,7 @@ class TestValidateEvent:
 
     def test_missing_common_field_rejected(self):
         with pytest.raises(ValueError, match="missing common field"):
-            validate_event({"ev": "fault", "cycle": 0})
+            validate_event({"ev": "resize", "cycle": 0})
 
     def test_missing_required_field_rejected(self):
         with pytest.raises(ValueError, match="missing fields"):
@@ -109,38 +108,40 @@ class TestValidateEvent:
     def test_bad_cycle_rejected(self):
         for cycle in (-1, 1.5, True, "7"):
             with pytest.raises(ValueError, match="cycle"):
-                validate_event({"ev": "fault", "cycle": cycle,
-                                "track": "sim", "kind": "stall"})
+                validate_event({"ev": "resize", "cycle": cycle,
+                                "track": "sim", "active": 64,
+                                "generation": 1})
 
     def test_bad_track_rejected(self):
         for track in ("", 3, None):
             with pytest.raises(ValueError, match="track"):
-                validate_event({"ev": "fault", "cycle": 0,
-                                "track": track, "kind": "stall"})
+                validate_event({"ev": "resize", "cycle": 0,
+                                "track": track, "active": 64,
+                                "generation": 1})
 
     def test_extra_fields_allowed(self):
-        validate_event({"ev": "fault", "cycle": 0, "track": "sim",
-                        "kind": "stall", "node": 3, "extra": "ok"})
+        validate_event({"ev": "resize", "cycle": 0, "track": "sim",
+                        "active": 64, "generation": 1, "extra": "ok"})
 
     def test_non_dict_rejected(self):
         with pytest.raises(ValueError, match="dict"):
-            validate_event(["ev", "fault"])
+            validate_event(["ev", "resize"])
 
 
 class TestJsonl:
     def test_round_trip_validates(self, tmp_path):
         rec = _filled()
         path = str(tmp_path / "trace.jsonl")
-        assert rec.write_jsonl(path) == 14
-        assert validate_jsonl(path) == 14
+        assert rec.write_jsonl(path) == 13
+        assert validate_jsonl(path) == 13
         records = [json.loads(line) for line in open(path)]
         assert records == rec.events
 
     def test_malformed_line_reports_location(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
         with open(path, "w") as fh:
-            fh.write('{"ev": "fault", "cycle": 0, "track": "sim", '
-                     '"kind": "stall"}\n')
+            fh.write('{"ev": "resize", "cycle": 0, "track": "sim", '
+                     '"active": 64, "generation": 1}\n')
             fh.write("not json\n")
         with pytest.raises(ValueError, match="bad.jsonl:2"):
             validate_jsonl(path)
@@ -148,26 +149,26 @@ class TestJsonl:
     def test_invalid_event_reports_location(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
         with open(path, "w") as fh:
-            fh.write('{"ev": "fault", "cycle": 0, "track": "sim"}\n')
+            fh.write('{"ev": "resize", "cycle": 0, "track": "sim"}\n')
         with pytest.raises(ValueError, match="bad.jsonl:1"):
             validate_jsonl(path)
 
     def test_creates_parent_directory(self, tmp_path):
         path = str(tmp_path / "deep" / "nested" / "trace.jsonl")
         _filled().write_jsonl(path)
-        assert validate_jsonl(path) == 14
+        assert validate_jsonl(path) == 13
 
 
 class TestChromeTrace:
     def test_structure(self, tmp_path):
         rec = _filled()
         path = str(tmp_path / "trace.chrome.json")
-        assert rec.write_chrome(path) == 14
+        assert rec.write_chrome(path) == 13
         doc = json.load(open(path))
         events = doc["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
         instants = [e for e in events if e["ph"] == "i"]
-        assert len(instants) == 14
+        assert len(instants) == 13
         # one process_name + (thread_name + thread_sort_index) per track
         tracks = {r["track"] for r in rec.events}
         assert len(meta) == 1 + 2 * len(tracks)
@@ -193,7 +194,7 @@ class TestChromeTrace:
         rec = TraceRecorder()
         rec.flit_eject(0, "ni-10", pkt=1, flit=0, cs=False, done=True)
         rec.flit_route(0, "router-2", pkt=1, outport=0)
-        rec.fault(0, "sim", kind="stall")
+        rec.resize(0, "sim", active=64, generation=1)
         rec.flit_route(0, "router-10", pkt=1, outport=0)
         path = str(tmp_path / "t.json")
         rec.write_chrome(path)

@@ -1,19 +1,12 @@
 """Property-based differential testing of the engines (Hypothesis).
 
-For ANY (scheme, mesh side, rate, fault plan, cycle count, stop point,
-seed) the legacy and activity-tracked engines must agree
-bit-for-bit.  When Hypothesis finds a divergence it shrinks toward the
-smallest workload that still diverges, and the assertion message
+For ANY (scheme, mesh side, rate, cycle count, stop point, seed) the
+legacy and activity-tracked engines must agree bit-for-bit.  When
+Hypothesis finds a divergence it shrinks toward the smallest workload
+that still diverges, and the assertion message
 carries the first divergent checkpoint cycle and the diverging engines
 from the report — together these pin down a minimal divergent trace
 for debugging.
-
-Fault plans are drawn from a small pool of mild configurations (the
-watchdog interval of 512 cycles exceeds every generated run length, so
-a plan can kill links and stall routers but never aborts the run):
-fault-injected runs are exactly where the fast engine must fall
-back to run-everything scheduling, and the property guards that
-fallback too.
 """
 
 from __future__ import annotations
@@ -26,17 +19,6 @@ from repro.harness.verify import verify_equivalence
 SCHEMES = ("packet_vc4", "hybrid_tdm_vc4", "hybrid_tdm_vct",
            "hybrid_sdm_vc4")
 
-#: mild FaultConfig overrides (None = faults disabled); every plan
-#: keeps the default watchdog, whose first check lands beyond the
-#: longest generated run
-FAULT_PLANS = (
-    None,
-    {"link_fail_count": 1, "link_fail_cycle": 40},
-    {"router_stall_rate": 0.002, "router_stall_duration": 6},
-    {"config_drop_rate": 0.05},
-    {"transient_link_rate": 0.001, "transient_duration": 8},
-)
-
 _settings = settings(max_examples=10, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
@@ -46,18 +28,16 @@ _settings = settings(max_examples=10, deadline=None,
        rate=st.floats(min_value=0.0, max_value=0.3),
        cycles=st.integers(min_value=20, max_value=200),
        stop_frac=st.none() | st.floats(min_value=0.1, max_value=0.9),
-       fault_plan=st.sampled_from(FAULT_PLANS),
        seed=st.integers(min_value=1, max_value=100))
 @_settings
 def test_engines_agree_on_random_workloads(scheme, side, rate, cycles,
-                                           stop_frac, fault_plan, seed):
+                                           stop_frac, seed):
     stop_cycle = None if stop_frac is None else max(1, int(cycles
                                                            * stop_frac))
     report = verify_equivalence(
         scheme, rate=rate, cycles=cycles, interval=max(1, cycles // 4),
         seed=seed, width=side, height=side, slot_table_size=32,
-        stop_cycle=stop_cycle, engines=("legacy", "fast"),
-        faults=fault_plan)
+        stop_cycle=stop_cycle, engines=("legacy", "fast"))
     assert report.ok, (
         f"engines {report.divergent_engines} diverged at cycle "
         f"{report.first_divergence}: {report.mismatches}")

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import os
+import pickle
 
 import pytest
 
+from repro.core.circuit import Connection
 from repro.harness.runner import prepare_synthetic
 from repro.sim.checkpoint import (
+    MAGIC,
     CheckpointManager,
     SnapshotCorruptError,
     SnapshotError,
@@ -15,6 +19,7 @@ from repro.sim.checkpoint import (
     load_snapshot,
     restore_state,
     save_snapshot,
+    sha256_bytes,
     state_hash,
 )
 
@@ -160,6 +165,49 @@ class TestSnapshotFile:
             fh.write(b"not a snapshot at all")
         with pytest.raises(SnapshotCorruptError, match="magic"):
             load_snapshot(path)
+
+
+class _V1Connection:
+    """Pickles as a :class:`Connection` carrying the version-1 slots
+    ``deadline`` and ``retry_at``, which the current class lacks."""
+
+    def __reduce__(self):
+        slots = {"conn_id": 1, "src": 0, "dst": 3, "slot0": 5,
+                 "duration": 4, "state": None, "created": 0,
+                 "last_used": 0, "next_round_min": 0, "retries": 0,
+                 "uses": 0, "deadline": 64, "retry_at": 0}
+        return (Connection.__new__, (Connection,), (None, slots))
+
+
+def _write_v1_snapshot(path: str, cycle: int) -> None:
+    """A well-formed version-1 file whose payload no longer unpickles."""
+    payload = pickle.dumps({"format": 1, "conns": [_V1Connection()]})
+    with pytest.raises(AttributeError):
+        pickle.loads(payload)
+    header = {"version": 1, "cycle": cycle, "sha256": sha256_bytes(payload),
+              "payload_bytes": len(payload), "meta": {}}
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + json.dumps(header).encode() + b"\n" + payload)
+
+
+class TestOldFormat:
+    def test_v1_snapshot_is_refused(self, tmp_path):
+        path = str(tmp_path / "old.rsnap")
+        _write_v1_snapshot(path, 100)
+        with pytest.raises(SnapshotCorruptError, match="version 1"):
+            load_snapshot(path)
+
+    def test_load_latest_falls_back_past_v1_snapshot(self, tmp_path):
+        sim, net, _ = _small()
+        mgr = CheckpointManager(str(tmp_path), keep=3)
+        sim.run(50)
+        mgr.save(capture_state(sim, net), sim.cycle)
+        good_hash = state_hash(capture_state(sim, net))
+        _write_v1_snapshot(mgr._path(100), 100)     # newer, old format
+        loaded = mgr.load_latest()
+        assert loaded is not None and loaded.header["cycle"] == 50
+        assert state_hash(loaded.tree) == good_hash
+        assert len(mgr.errors) == 1 and "version 1" in mgr.errors[0]
 
 
 class TestCheckpointManager:

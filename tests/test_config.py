@@ -128,6 +128,33 @@ class TestValidation:
         with pytest.raises(ValueError):
             SlotTableConfig(initial_active=1)
 
+    def test_slot_table_size_must_be_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            SlotTableConfig(size=96)
+
+    def test_initial_active_must_be_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            SlotTableConfig(size=128, initial_active=24)
+
+    def test_dynamic_wheel_shorter_than_reservation_rejected(self):
+        # with dynamic sizing the wheel starts at initial_active
+        with pytest.raises(ValueError, match="slot wheel"):
+            NetworkConfig(slot_table=SlotTableConfig(size=128,
+                                                     initial_active=2))
+
+    def test_static_wheel_shorter_than_reservation_rejected(self):
+        # without dynamic sizing the whole table is the wheel
+        with pytest.raises(ValueError, match="slot wheel"):
+            NetworkConfig(slot_table=SlotTableConfig(
+                size=2, initial_active=2, dynamic_sizing=False))
+
+    def test_vicinity_reservation_needs_a_header_slot(self):
+        small = SlotTableConfig(size=128, initial_active=4)
+        NetworkConfig(slot_table=small)          # 4 slots fit exactly
+        with pytest.raises(ValueError, match="slot wheel"):
+            NetworkConfig(slot_table=small,
+                          circuit=CircuitConfig(vicinity=True))
+
     def test_bad_gating_thresholds(self):
         with pytest.raises(ValueError):
             VCGatingConfig(threshold_low=0.8, threshold_high=0.5)

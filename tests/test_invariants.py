@@ -9,15 +9,18 @@ These are the heavyweight guarantees of the simulator:
 * slot-table consistency — input tables and output-owner maps never
   disagree, even through setups, teardowns, failures and resizes;
 * flit conservation — the shared ledger balances (injected = ejected +
-  consumed + dropped + in the fabric) on every scheme, mid-run and after
-  drain.
+  consumed + in the fabric) on every scheme, mid-run and after drain;
+* liveness — the watchdog every network carries stays quiet on healthy
+  runs and raises :class:`LivelockError` when flits stop moving.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import SCHEMES as ALL_SCHEMES
-from repro.network.topology import NUM_PORTS
+from repro.network.flit import Message, MessageClass
+from repro.network.topology import LOCAL, NUM_PORTS
+from repro.sim.kernel import LivelockError, Watchdog
 
 from tests.conftest import build, drain, run_traffic
 
@@ -147,3 +150,36 @@ def test_latency_never_below_zero_load_minimum(scheme):
     # 1 hop minimum: NI link + 2 routers; circuits take >= 2 cycles/hop
     assert net.pkt_latency.samples
     assert min(net.pkt_latency.samples) >= 4
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_healthy_run_never_trips_watchdog(scheme):
+    sim, net, _ = run_traffic(scheme, "uniform_random", rate=0.1,
+                              warmup=0, measure=1100, seed=2)
+    watchdogs = [o for o in sim.objects if isinstance(o, Watchdog)]
+    assert watchdogs == [net.watchdog]
+    assert net.watchdog.checks > 0
+    assert net.watchdog.audit_violations == 0
+    assert net.audit_conservation() is None
+
+
+@pytest.mark.parametrize("scheme", ["packet_vc4", "hybrid_tdm_vc4",
+                                    "hybrid_sdm_vc4"])
+def test_withheld_credits_raise_livelock_error(scheme):
+    """A packet whose routers never get a downstream credit back stops
+    making progress; the default watchdog turns that into an error."""
+    sim, net = build(scheme)
+    far = net.mesh.num_nodes - 1
+    net.ni(0).send(Message(src=0, dst=far, mclass=MessageClass.DATA,
+                           size_flits=5, create_cycle=0))
+    sim.run(3)          # the head is buffered in router 0, not yet sent
+    for r in net.routers:
+        for out in range(NUM_PORTS):
+            if out != LOCAL and r.out_links[out] is not None:
+                r.credits[out] = [0] * len(r.credits[out])
+    with pytest.raises(LivelockError) as exc:
+        sim.run(5000)
+    # interval 512, patience 4: the check at 512 records the baseline,
+    # the stalled checks at 1024, 1536, 2048 and 2560 raise
+    assert exc.value.cycle == 2560
+    assert exc.value.in_flight > 0

@@ -141,6 +141,13 @@ class CircuitConfig:
             raise ValueError("duration must be >= 1")
         if self.dlt_size < 1:
             raise ValueError("dlt_size must be >= 1")
+        for name in ("setup_msg_threshold", "freq_window",
+                     "idle_evict_cycles"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("stall_threshold", "max_setup_retries"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     @property
     def reserve_duration(self) -> int:
@@ -168,6 +175,8 @@ class VCGatingConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.threshold_low < self.threshold_high <= 1.0):
             raise ValueError("need 0 <= low < high <= 1")
+        if self.epoch < 1:
+            raise ValueError("epoch must be >= 1")
         if self.min_vcs < 1:
             raise ValueError("min_vcs must be >= 1")
         if self.metric not in ("utilisation", "queue_delay"):
@@ -279,6 +288,10 @@ class NetworkConfig:
         if self.switching == "tdm" and wheel < need:
             raise ValueError(f"active slot wheel ({wheel}) is smaller than "
                              f"one reservation ({need} slots)")
+        gating = self.vc_gating
+        if gating.enabled and gating.min_vcs > self.router.num_vcs:
+            raise ValueError(f"vc_gating.min_vcs ({gating.min_vcs}) exceeds "
+                             f"router.num_vcs ({self.router.num_vcs})")
 
     # ------------------------------------------------------------------
     @property

@@ -70,11 +70,12 @@ class HybridRouter(PacketRouter):
                 cs_in[i] = False
                 cs_out[i] = False
             self._cs_flags_dirty = False
-        self._write_arrivals(cycle)
+        self.deliver(cycle)
         if self._cs_inject:
             self._process_cs_injections(cycle)
-        if self._buffered_flits:
+        if self._unalloc_vcs:
             self._route_and_va(cycle)
+        if self._buffered_flits:
             self._sa_st(cycle)
         if self.gating is not None:
             self._sample_utilisation()
@@ -94,7 +95,7 @@ class HybridRouter(PacketRouter):
     # ------------------------------------------------------------------
     def _demux_circuit(self, inport: int, flit: Flit, cycle: int) -> None:
         """Circuit-arrival leg of the slot-table demux (the slot read is
-        counted by ``_write_arrivals``)."""
+        counted by ``deliver``)."""
         slot = self.clock.slot(cycle)
         hit = self.slot_state.lookup_in(inport, slot)
         if hit is not None:

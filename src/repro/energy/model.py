@@ -93,7 +93,8 @@ def compute_energy(net, params: EnergyParams | None = None) -> EnergyReport:
     dyn: Dict[str, float] = {k: 0.0 for k in COMPONENTS}
     dyn["buffer"] = (c["buffer_write"] * p.buffer_write_pj
                      + c["buffer_read"] * p.buffer_read_pj) * wf
-    dyn["xbar"] = (c["xbar"] + c["cs_xbar"]) * p.xbar_pj * wf
+    # every packet-switched buffer read is one crossbar traversal
+    dyn["xbar"] = (c["buffer_read"] + c["cs_xbar"]) * p.xbar_pj * wf
     dyn["arbiter"] = (c["vc_arb"] * p.vc_arb_pj
                       + c["sw_arb"] * p.sw_arb_pj)
     dyn["link"] = (c["link"] * p.link_pj * wf

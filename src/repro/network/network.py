@@ -23,7 +23,8 @@ from repro.network.topology import LOCAL, Mesh, NUM_PORTS, opposite_port
 from repro.sim.kernel import Simulator, Watchdog
 from repro.sim.stats import ConservationLedger, Counter, LatencySample
 
-#: cycles between watchdog checks (each one audits flit conservation)
+#: cycles between watchdog checks (each one audits flit conservation
+#: and every router's fast-path counters)
 WATCHDOG_INTERVAL = 512
 #: consecutive no-progress checks, with flits in flight, that raise
 #: :class:`~repro.sim.kernel.LivelockError`
@@ -229,13 +230,21 @@ class Network:
         return self.ledger.imbalance(self.in_network_flits())
 
     def audit_conservation(self) -> Optional[str]:
-        """Return a human-readable violation description, or ``None``."""
+        """Return a human-readable violation description, or ``None``.
+
+        Besides the flit ledger, every router's fast-path counters are
+        recounted from its VC buffers and owner tables."""
+        problems = []
         imb = self.conservation_imbalance()
-        if imb == 0:
-            return None
-        return (f"flit conservation violated: imbalance={imb} "
-                f"({self.ledger.as_dict()}, "
-                f"in_network={self.in_network_flits()})")
+        if imb:
+            problems.append(f"flit conservation violated: imbalance={imb} "
+                            f"({self.ledger.as_dict()}, "
+                            f"in_network={self.in_network_flits()})")
+        for r in self.routers:
+            detail = r.audit_counters()
+            if detail is not None:
+                problems.append(detail)
+        return "; ".join(problems) or None
 
     def _audit_report(self) -> Optional[Dict]:
         """The watchdog's audit: ``None``, or the violation details."""

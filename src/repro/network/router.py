@@ -89,7 +89,6 @@ class PacketRouter(SimObject):
         self.gating = None  # attached by the network builder when enabled
 
         self._sa_ptr = [0] * NUM_PORTS   # round-robin pointers per outport
-        self._arrivals: List[List[Flit]] = [[] for _ in range(NUM_PORTS)]
         self.counters = Counter()
         self._busy_accum = 0.0           # busy-VC integral for gating epochs
         self._busy_samples = 0
@@ -111,9 +110,11 @@ class PacketRouter(SimObject):
         #: owned downstream VCs per outport — lets switch allocation skip
         #: outports with no claimant instead of scanning every VC
         self._owned_out = [0] * NUM_PORTS
-        #: buffered flits per input port — lets route-compute/VA skip
-        #: ports with nothing buffered instead of scanning their VCs
-        self._port_buffered = [0] * NUM_PORTS
+        #: input VCs per port holding flits but no output VC — lets
+        #: route-compute/VA skip ports (and whole cycles, through the
+        #: total) where no head flit waits for an output VC
+        self._port_unalloc = [0] * NUM_PORTS
+        self._unalloc_vcs = 0
         #: reusable crossbar-input-usage scratch for ``_sa_st``
         self._used_in_scratch = [False] * NUM_PORTS
         #: first downstream VC each data input VC may claim at VA (the
@@ -161,7 +162,20 @@ class PacketRouter(SimObject):
     # phases
     # ------------------------------------------------------------------
     def deliver(self, cycle: int) -> None:
-        """Drain credit returns and stage arriving flits."""
+        """Pop every credit and flit due by *cycle* off the incoming
+        pipes straight into the credit counters and VC buffers (the BW
+        stage); the first step of every router's ``transfer``.
+
+        Links have latency >= 1, so nothing another router sends during
+        *cycle* is due before *cycle + 1*: the order in which routers run
+        ``transfer`` does not change what each one pops here.
+
+        A router with a slot table pays one slot-table read per arrival
+        ("for each incoming flit, the router looks up the slot table",
+        Section II); circuit flits go to the subclass's
+        ``_demux_circuit``.  The packet-switched write, the overwhelmingly
+        common case on a loaded epoch, runs without a per-flit call.
+        """
         lists = self._deliver_lists
         if lists is None:
             lists = self._deliver_lists = (
@@ -172,32 +186,58 @@ class PacketRouter(SimObject):
             )
         # pipe pops are inlined (no per-link list allocation); the
         # differential-equivalence harness guards the delivery timing
-        # the removed per-flit assert used to check
         for outport, clink in lists[0]:
             pipe = clink._pipe
             if pipe:
                 credits = self.credits[outport]
                 while pipe and pipe[0][0] <= cycle:
                     credits[pipe.popleft()[1]] += 1
+        arrived = written = 0
         for inport, flink in lists[1]:
             pipe = flink._pipe
-            if pipe:
-                staged = self._arrivals[inport]
-                while pipe and pipe[0][0] <= cycle:
-                    staged.append(pipe.popleft()[1])
+            if not pipe or pipe[0][0] > cycle:
+                continue
+            vcs = self.in_ports[inport].vcs
+            ready = cycle + self.rcfg.ps_pipeline_latency
+            unalloc = 0
+            while pipe and pipe[0][0] <= cycle:
+                flit = pipe.popleft()[1]
+                arrived += 1
+                if flit.is_circuit:
+                    self._demux_circuit(inport, flit, cycle)
+                    continue
+                vcobj = vcs[flit.vc]
+                fifo = vcobj.fifo
+                if not fifo:
+                    if vcobj.out_vc is None:
+                        unalloc += 1
+                elif len(fifo) >= vcobj.depth:
+                    raise OverflowError(
+                        "VC buffer overflow: credit protocol violated")
+                fifo.append(flit)
+                flit.ready_cycle = ready
+                written += 1
+            if unalloc:
+                self._port_unalloc[inport] += unalloc
+                self._unalloc_vcs += unalloc
+        if arrived:
+            counts = self.counters._counts
+            if self.slot_state is not None:
+                counts["slot_read"] = counts.get("slot_read", 0) + arrived
+            if written:
+                self._buffered_flits += written
+                counts["buffer_write"] = (counts.get("buffer_write", 0)
+                                          + written)
 
     def sim_idle(self, cycle: int) -> bool:
-        """No buffered or staged flits, nothing on any incoming link or
-        credit pipe, and no always-on controller attached.
+        """No buffered flits, nothing on any incoming link or credit
+        pipe, and no always-on controller attached.
 
         Gating routers never sleep: ``_sample_utilisation`` integrates
         VC occupancy (and the controller epochs) every single cycle.
         """
         if self._buffered_flits or self.gating is not None:
             return False
-        for staged in self._arrivals:
-            if staged:
-                return False
         for flink in self.in_links:
             if flink is not None and flink._pipe:
                 return False
@@ -207,9 +247,10 @@ class PacketRouter(SimObject):
         return True
 
     def transfer(self, cycle: int) -> None:
-        self._write_arrivals(cycle)
-        if self._buffered_flits:
+        self.deliver(cycle)
+        if self._unalloc_vcs:
             self._route_and_va(cycle)
+        if self._buffered_flits:
             self._sa_st(cycle)
         if self.gating is not None:
             self._sample_utilisation()
@@ -219,51 +260,14 @@ class PacketRouter(SimObject):
             self.gating.tick(cycle)
 
     # ------------------------------------------------------------------
-    # arrival handling
-    # ------------------------------------------------------------------
-    def _write_arrivals(self, cycle: int) -> None:
-        """Buffer-write every staged arrival (the BW stage).
-
-        A router with a slot table pays one slot-table read per arrival
-        ("for each incoming flit, the router looks up the slot table",
-        Section II); circuit flits go to the subclass's
-        ``_demux_circuit``.  The packet-switched write, the overwhelmingly
-        common case on a loaded epoch, runs without a per-flit call.
-        """
-        arrivals = self._arrivals
-        counts = self.counters._counts
-        in_ports = self.in_ports
-        port_buffered = self._port_buffered
-        pipe_lat = self.rcfg.ps_pipeline_latency
-        slot_reads = self.slot_state is not None
-        for inport in range(NUM_PORTS):
-            staged = arrivals[inport]
-            if not staged:
-                continue
-            if slot_reads:
-                counts["slot_read"] = counts.get("slot_read", 0) + len(staged)
-            for flit in staged:
-                if flit.is_circuit:
-                    self._demux_circuit(inport, flit, cycle)
-                else:
-                    vcobj = in_ports[inport].vcs[flit.vc]
-                    fifo = vcobj.fifo
-                    if len(fifo) >= vcobj.depth:
-                        raise OverflowError(
-                            "VC buffer overflow: credit protocol violated")
-                    fifo.append(flit)
-                    flit.ready_cycle = cycle + pipe_lat
-                    self._buffered_flits += 1
-                    port_buffered[inport] += 1
-                    counts["buffer_write"] = counts.get("buffer_write", 0) + 1
-            staged.clear()
-
-    # ------------------------------------------------------------------
     # route compute + VC allocation
     # ------------------------------------------------------------------
     def _route_and_va(self, cycle: int) -> None:
+        """Route compute and VC allocation for the head flits waiting for
+        an output VC; only ports with such a VC are scanned, and a scan
+        stops once it has seen all of them."""
         in_ports = self.in_ports
-        port_buffered = self._port_buffered
+        port_unalloc = self._port_unalloc
         out_vc_owner = self.out_vc_owner
         owned = self._owned_out
         va_base = self._va_base
@@ -272,12 +276,17 @@ class PacketRouter(SimObject):
         head_kind = FlitKind.HEAD
         head_tail_kind = FlitKind.HEAD_TAIL
         for inport in range(NUM_PORTS):
-            if not port_buffered[inport]:
+            waiting = port_unalloc[inport]
+            if not waiting:
                 continue
+            settled = 0   # VCs granted an output VC or emptied here
             for invc, vcobj in enumerate(in_ports[inport].vcs):
+                if not waiting:
+                    break
                 fifo = vcobj.fifo
                 if vcobj.out_vc is not None or not fifo:
                     continue
+                waiting -= 1
                 head = fifo[0]
                 kind = head.kind
                 if ((kind is not head_kind and kind is not head_tail_kind)
@@ -290,7 +299,8 @@ class PacketRouter(SimObject):
                         # packet consumed here (config processing)
                         vcobj.pop()
                         self._buffered_flits -= 1
-                        port_buffered[inport] -= 1
+                        if not fifo:
+                            settled += 1
                         self._return_credit(inport, invc, cycle)
                         self.ledger.consumed += 1
                         continue
@@ -319,7 +329,11 @@ class PacketRouter(SimObject):
                 vcobj.out_vc = ovc
                 owners[ovc] = (inport, invc)
                 owned[outport] += 1
+                settled += 1
                 counts["vc_arb"] = counts.get("vc_arb", 0) + 1
+            if settled:
+                port_unalloc[inport] -= settled
+                self._unalloc_vcs -= settled
 
     def _compute_route(self, inport: int, head: Flit,
                        cycle: int) -> Optional[int]:
@@ -441,9 +455,7 @@ class PacketRouter(SimObject):
             vcobj = in_ports[inport].vcs[invc]
             flit = vcobj.fifo.popleft()
             self._buffered_flits -= 1
-            self._port_buffered[inport] -= 1
             counts["buffer_read"] = counts.get("buffer_read", 0) + 1
-            counts["xbar"] = counts.get("xbar", 0) + 1
             if gating is not None:
                 # in-router residency beyond the pipeline minimum: the
                 # queue-delay gating metric (Section V-B4 variant)
@@ -467,6 +479,10 @@ class PacketRouter(SimObject):
                 owned[outport] -= 1
                 vcobj.route_outport = None
                 vcobj.out_vc = None
+                if vcobj.fifo:
+                    # the next packet's head now waits for an output VC
+                    self._port_unalloc[inport] += 1
+                    self._unalloc_vcs += 1
             ol = out_links[outport]
             ol._pipe.append((cycle + ol.latency, flit))
             ol.flits_carried += 1
@@ -536,7 +552,6 @@ class PacketRouter(SimObject):
         ledger/rng) is rebuilt by the network constructor."""
         return {
             "in_ports": [p.state_dict() for p in self.in_ports],
-            "arrivals": [list(a) for a in self._arrivals],
             "credits": [list(row) for row in self.credits],
             "out_vc_owner": [list(row) for row in self.out_vc_owner],
             "active_vcs": self.active_vcs,
@@ -546,7 +561,6 @@ class PacketRouter(SimObject):
             "counters": self.counters,
             "busy": (self._busy_accum, self._busy_samples,
                      self._qdelay_accum, self._qdelay_samples),
-            "buffered_flits": self._buffered_flits,
             "gating": None if self.gating is None else self.gating.state_dict(),
             # every CreditLink is some router's credit_out (the side that
             # sends credits), so in-flight credits are captured exactly once
@@ -557,12 +571,8 @@ class PacketRouter(SimObject):
     def load_state_dict(self, state: dict) -> None:
         for port, sub in zip(self.in_ports, state["in_ports"], strict=True):
             port.load_state_dict(sub)
-        self._arrivals = [list(a) for a in state["arrivals"]]
         self.credits = [list(row) for row in state["credits"]]
         self.out_vc_owner = [list(row) for row in state["out_vc_owner"]]
-        self._owned_out = [sum(1 for o in row if o is not None)
-                           for row in self.out_vc_owner]
-        self._port_buffered = [p.occupancy() for p in self.in_ports]
         self.active_vcs = state["active_vcs"]
         self.powered_vcs = state["powered_vcs"]
         self.vc_power_integral = state["vc_power_integral"]
@@ -570,7 +580,8 @@ class PacketRouter(SimObject):
         self.counters = state["counters"]
         (self._busy_accum, self._busy_samples,
          self._qdelay_accum, self._qdelay_samples) = state["busy"]
-        self._buffered_flits = state["buffered_flits"]
+        for name, value in self._recount().items():
+            setattr(self, name, value)
         if self.gating is not None and state["gating"] is not None:
             self.gating.load_state_dict(state["gating"])
         for cl, sub in zip(self.credit_out, state["credit_pipes"],
@@ -580,9 +591,29 @@ class PacketRouter(SimObject):
 
     # ------------------------------------------------------------------
     def occupancy(self) -> int:
-        """Total buffered flits (used by drain checks and tests),
-        including arrivals staged by ``deliver`` and not yet written."""
-        n = sum(p.occupancy() for p in self.in_ports)
-        for staged in self._arrivals:
-            n += len(staged)
-        return n
+        """Total buffered flits (used by drain checks and tests)."""
+        return sum(p.occupancy() for p in self.in_ports)
+
+    def _recount(self) -> dict:
+        """The fast-path counters, recounted from the VC buffers and the
+        output-VC owner tables (derived state, never snapshotted)."""
+        port_unalloc = [sum(1 for vc in p.vcs
+                            if vc.fifo and vc.out_vc is None)
+                        for p in self.in_ports]
+        return {
+            "_buffered_flits": self.occupancy(),
+            "_owned_out": [sum(1 for o in row if o is not None)
+                           for row in self.out_vc_owner],
+            "_port_unalloc": port_unalloc,
+            "_unalloc_vcs": sum(port_unalloc),
+        }
+
+    def audit_counters(self) -> Optional[str]:
+        """Describe every fast-path counter that disagrees with its
+        recount, or return None when all agree."""
+        bad = [f"{name}={getattr(self, name)!r} (recount {want!r})"
+               for name, want in self._recount().items()
+               if getattr(self, name) != want]
+        if not bad:
+            return None
+        return f"router {self.node} counters: " + ", ".join(bad)

@@ -107,11 +107,12 @@ class SDMRouter(PacketRouter):
             for row in self._cs_out_used:
                 row[:] = cleared
             self._cs_flags_dirty = False
-        self._write_arrivals(cycle)
+        self.deliver(cycle)
         if self._cs_inject:
             self._process_cs_injections(cycle)
-        if self._buffered_flits:
+        if self._unalloc_vcs:
             self._route_and_va(cycle)
+        if self._buffered_flits:
             self._sa_st(cycle)
 
     def sim_idle(self, cycle: int) -> bool:
@@ -237,7 +238,6 @@ class SDMRouter(PacketRouter):
         total_vcs = self.total_vcs
         sa_ptr = self._sa_ptr
         mod = NUM_PORTS * total_vcs
-        port_buffered = self._port_buffered
         counts = self.counters._counts
         used_in = None
         for outport in range(NUM_PORTS):
@@ -299,9 +299,7 @@ class SDMRouter(PacketRouter):
                 vcobj = in_ports[inport].vcs[invc]
                 flit = vcobj.fifo.popleft()
                 self._buffered_flits -= 1
-                port_buffered[inport] -= 1
                 counts["buffer_read"] = counts.get("buffer_read", 0) + 1
-                counts["xbar"] = counts.get("xbar", 0) + 1
                 clink = self.credit_out[inport]
                 if clink is not None:
                     clink._pipe.append((cycle + clink.latency, invc))
@@ -319,6 +317,9 @@ class SDMRouter(PacketRouter):
                     owned[outport] -= 1
                     vcobj.route_outport = None
                     vcobj.out_vc = None
+                    if vcobj.fifo:
+                        self._port_unalloc[inport] += 1
+                        self._unalloc_vcs += 1
                 ol = out_links[outport]
                 ol._pipe.append((cycle + ol.latency, flit))
                 ol.flits_carried += 1

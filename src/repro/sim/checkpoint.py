@@ -47,7 +47,7 @@ from typing import Dict, List, NamedTuple, Optional
 import numpy as np
 
 #: bump when the capture tree layout changes incompatibly
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: file magic; the trailing newline keeps the header line-oriented
 MAGIC = b"RSNP1\n"

@@ -3,17 +3,22 @@
 The NoC models in this package are *cycle driven*: every component exposes
 phase methods that the :class:`Simulator` invokes in a fixed global order
 each cycle.  The phase split mirrors the structural timing of a synchronous
-router (link delivery happens before switch traversal, which happens before
+router (switch traversal happens before injection, which happens before
 controller bookkeeping) and makes the simulation deterministic regardless
 of component registration order within a phase tier.
 
 Phases per cycle (in order):
 
-``deliver``   link/credit pipelines hand flits and credits to consumers
-``transfer``  routers run the circuit-switched pass then the packet pipeline
+``transfer``  routers pop their incoming link and credit pipes into VC
+              buffers and credit counters, then run the circuit-switched
+              pass and the packet pipeline
 ``inject``    network interfaces inject/eject, endpoints generate traffic
 ``control``   slow controllers: VC power gating, slot-table sizing,
               connection management, statistics sampling
+
+Every link has a latency of at least one cycle, so nothing a router sends
+during ``transfer`` is due before the next cycle: each router pops exactly
+the same pipe entries whichever order the routers run in.
 
 All randomness must come from :attr:`Simulator.rng` (a seeded NumPy
 ``Generator``) so runs are exactly reproducible.
@@ -66,7 +71,7 @@ import numpy as np
 from repro.obs.trace import NULL_RECORDER
 
 #: Canonical phase names in execution order.
-PHASES = ("deliver", "transfer", "inject", "control")
+PHASES = ("transfer", "inject", "control")
 
 
 class UnknownEngineError(ValueError):
@@ -118,8 +123,8 @@ class LivelockError(RuntimeError):
 class SimObject:
     """Base class for objects that participate in the clocked phases.
 
-    Subclasses override any subset of :meth:`deliver`, :meth:`transfer`,
-    :meth:`inject` and :meth:`control`.  The default implementations are
+    Subclasses override any subset of :meth:`transfer`, :meth:`inject`
+    and :meth:`control`.  The default implementations are
     no-ops, so components only pay for the phases they use (the kernel
     skips methods that are not overridden).
 
@@ -179,9 +184,6 @@ class SimObject:
         the simulator RNG.
         """
         return False
-
-    def deliver(self, cycle: int) -> None:  # pragma: no cover - trivial
-        pass
 
     def transfer(self, cycle: int) -> None:  # pragma: no cover - trivial
         pass
@@ -316,7 +318,6 @@ class Simulator:
         # the phase lists hold *bound methods* (one attribute lookup per
         # object per cycle saved); the sleepables list holds the objects
         # themselves (the sleep loop needs their flags)
-        self._awake_deliver: List[Callable[[int], None]] = []
         self._awake_transfer: List[Callable[[int], None]] = []
         self._awake_inject: List[Callable[[int], None]] = []
         self._awake_control: List[Callable[[int], None]] = []
@@ -394,8 +395,6 @@ class Simulator:
 
     def _step_legacy(self) -> None:
         c = self.cycle
-        for obj in self._phase_lists["deliver"]:
-            obj.deliver(c)
         for obj in self._phase_lists["transfer"]:
             obj.transfer(c)
         for obj in self._phase_lists["inject"]:
@@ -414,8 +413,6 @@ class Simulator:
         *transitions*, never on steady-state cycles."""
         self._wake_pending = False
         pl = self._phase_lists
-        self._awake_deliver = [o.deliver for o in pl["deliver"]
-                               if o._sim_in_lists]
         self._awake_transfer = [o.transfer for o in pl["transfer"]
                                 if o._sim_in_lists]
         self._awake_inject = [o.inject for o in pl["inject"]
@@ -436,8 +433,6 @@ class Simulator:
         if self._wake_pending:
             self._rebuild_awake_lists()
         c = self.cycle
-        for method in self._awake_deliver:
-            method(c)
         for method in self._awake_transfer:
             method(c)
         for method in self._awake_inject:

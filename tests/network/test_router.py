@@ -139,7 +139,8 @@ class TestStatsPlumbing:
         c = net.aggregate_counters()
         assert c["buffer_write"] >= 10   # 5 flits x 2+ routers
         assert c["buffer_read"] == c["buffer_write"]
-        assert c["xbar"] >= c["buffer_read"]
+        # each buffer read is one crossbar traversal: no separate counter
+        assert "xbar" not in c
         assert c["link"] >= 5
 
     def test_local_ejection_does_not_count_link(self):

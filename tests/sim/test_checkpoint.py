@@ -179,15 +179,35 @@ class _V1Connection:
         return (Connection.__new__, (Connection,), (None, slots))
 
 
+def _write_old_snapshot(path: str, version: int, cycle: int,
+                        payload: bytes) -> None:
+    """A well-formed file carrying an older format *version*."""
+    header = {"version": version, "cycle": cycle,
+              "sha256": sha256_bytes(payload),
+              "payload_bytes": len(payload), "meta": {}}
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + json.dumps(header).encode() + b"\n" + payload)
+
+
 def _write_v1_snapshot(path: str, cycle: int) -> None:
     """A well-formed version-1 file whose payload no longer unpickles."""
     payload = pickle.dumps({"format": 1, "conns": [_V1Connection()]})
     with pytest.raises(AttributeError):
         pickle.loads(payload)
-    header = {"version": 1, "cycle": cycle, "sha256": sha256_bytes(payload),
-              "payload_bytes": len(payload), "meta": {}}
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + json.dumps(header).encode() + b"\n" + payload)
+    _write_old_snapshot(path, 1, cycle, payload)
+
+
+def _write_v2_snapshot(path: str, cycle: int) -> None:
+    """A version-2 file: routers still carry the staged-arrival lists of
+    the four-phase kernel and a snapshotted buffered-flit count."""
+    sim, net, _ = _small()
+    sim.run(cycle)
+    tree = capture_state(sim, net)
+    tree["format"] = 2
+    for router in tree["net"]["routers"]:
+        router["arrivals"] = [[] for _ in router["in_ports"]]
+        router["buffered_flits"] = 0
+    _write_old_snapshot(path, 2, cycle, pickle.dumps(tree))
 
 
 class TestOldFormat:
@@ -195,6 +215,18 @@ class TestOldFormat:
         path = str(tmp_path / "old.rsnap")
         _write_v1_snapshot(path, 100)
         with pytest.raises(SnapshotCorruptError, match="version 1"):
+            load_snapshot(path)
+
+    def test_v2_snapshot_is_refused_before_unpickling(self, tmp_path,
+                                                      monkeypatch):
+        path = str(tmp_path / "v2.rsnap")
+        _write_v2_snapshot(path, 40)
+
+        def no_unpickling(*_args, **_kwargs):
+            raise AssertionError("an old-format payload was unpickled")
+
+        monkeypatch.setattr(pickle, "loads", no_unpickling)
+        with pytest.raises(SnapshotCorruptError, match="version 2 != 3"):
             load_snapshot(path)
 
     def test_load_latest_falls_back_past_v1_snapshot(self, tmp_path):

@@ -159,6 +159,35 @@ class TestValidation:
         with pytest.raises(ValueError):
             VCGatingConfig(threshold_low=0.8, threshold_high=0.5)
 
+    def test_gating_epoch_must_be_positive(self):
+        with pytest.raises(ValueError, match="epoch"):
+            VCGatingConfig(epoch=0)
+
+    def test_gating_floor_above_router_vcs_rejected(self):
+        router = RouterConfig(num_vcs=2)
+        gating = VCGatingConfig(enabled=True, min_vcs=3)
+        with pytest.raises(ValueError, match="min_vcs"):
+            NetworkConfig(router=router, vc_gating=gating)
+        # a disabled controller never gates, so its floor is not checked
+        NetworkConfig(router=router,
+                      vc_gating=dataclasses.replace(gating, enabled=False))
+        NetworkConfig(router=router,
+                      vc_gating=dataclasses.replace(gating, min_vcs=2))
+
+    @pytest.mark.parametrize("name", ["freq_window", "setup_msg_threshold",
+                                      "idle_evict_cycles"])
+    def test_circuit_windows_must_be_positive(self, name):
+        with pytest.raises(ValueError, match=name):
+            CircuitConfig(**{name: 0})
+        CircuitConfig(**{name: 1})
+
+    @pytest.mark.parametrize("name", ["stall_threshold",
+                                      "max_setup_retries"])
+    def test_circuit_limits_must_be_nonnegative(self, name):
+        with pytest.raises(ValueError, match=name):
+            CircuitConfig(**{name: -1})
+        CircuitConfig(**{name: 0})
+
     def test_bad_sdm(self):
         with pytest.raises(ValueError):
             SDMConfig(planes=1)

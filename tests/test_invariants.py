@@ -9,7 +9,8 @@ These are the heavyweight guarantees of the simulator:
 * slot-table consistency — input tables and output-owner maps never
   disagree, even through setups, teardowns, failures and resizes;
 * flit conservation — the shared ledger balances (injected = ejected +
-  consumed + in the fabric) on every scheme, mid-run and after drain;
+  consumed + in the fabric) on every scheme, mid-run and after drain,
+  and every router's fast-path counters match a recount of its buffers;
 * liveness — the watchdog every network carries stays quiet on healthy
   runs and raises :class:`LivelockError` when flits stop moving.
 """
@@ -55,9 +56,35 @@ def test_flit_ledger_balances_during_run_and_after_drain(scheme):
     for _ in range(5):
         sim.run(300)
         assert net.audit_conservation() is None
+        assert all(r.audit_counters() is None for r in net.routers)
     assert net.ledger.injected > 0
     assert drain(sim, net, max_cycles=20_000)
     assert net.audit_conservation() is None
+    assert all(r.audit_counters() is None for r in net.routers)
+    assert net.watchdog.checks > 0
+    assert net.watchdog.audit_violations == 0
+
+
+@pytest.mark.parametrize("counter", ["_buffered_flits", "_owned_out",
+                                     "_port_unalloc", "_unalloc_vcs"])
+def test_watchdog_audit_reports_a_corrupted_router_counter(counter):
+    """The watchdog's audit recounts every router's fast-path counters
+    from its VC buffers and owner tables."""
+    sim, net, _ = run_traffic("hybrid_tdm_vc4", "uniform_random", rate=0.3,
+                              warmup=0, measure=400)
+    assert net.audit_conservation() is None
+    router = net.routers[5]
+    value = getattr(router, counter)
+    if isinstance(value, list):
+        value[LOCAL] += 1
+    else:
+        setattr(router, counter, value + 1)
+    detail = net.audit_conservation()
+    assert detail is not None
+    assert f"router 5 counters: {counter}=" in detail
+    sim.run(200)                 # through the watchdog check at cycle 512
+    assert net.watchdog.audit_violations == 1
+    assert f"{counter}=" in net.watchdog.last_violation["detail"]
 
 
 @light

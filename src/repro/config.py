@@ -72,6 +72,8 @@ class RouterConfig:
             raise ValueError("channel_width_bytes must be >= 1")
         if self.ps_pipeline_latency < 0:
             raise ValueError("ps_pipeline_latency must be >= 0")
+        if self.config_vc_depth < 1:
+            raise ValueError("config_vc_depth must be >= 1")
 
 
 @dataclass
@@ -99,6 +101,8 @@ class SlotTableConfig:
             raise ValueError("initial_active must be in [2, size]")
         if not _is_pow2(self.initial_active):
             raise ValueError("initial_active must be a power of two")
+        if self.resize_fail_threshold < 1:
+            raise ValueError("resize_fail_threshold must be >= 1")
 
     @property
     def reset_wheel(self) -> int:
@@ -148,6 +152,10 @@ class CircuitConfig:
         for name in ("stall_threshold", "max_setup_retries"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if not 1 <= self.sharing_fail_threshold <= 3:
+            # the 2-bit counter saturates at 3: a larger threshold
+            # never fires
+            raise ValueError("sharing_fail_threshold must be in 1..3")
 
     @property
     def reserve_duration(self) -> int:
@@ -292,6 +300,11 @@ class NetworkConfig:
         if gating.enabled and gating.min_vcs > self.router.num_vcs:
             raise ValueError(f"vc_gating.min_vcs ({gating.min_vcs}) exceeds "
                              f"router.num_vcs ({self.router.num_vcs})")
+        width = self.router.channel_width_bytes
+        if self.switching == "sdm" and self.sdm.planes > width:
+            raise ValueError(f"sdm.planes ({self.sdm.planes}) exceeds "
+                             f"router.channel_width_bytes ({width}): a "
+                             f"plane must carry at least one byte")
 
     # ------------------------------------------------------------------
     @property

@@ -73,7 +73,7 @@ class HybridRouter(PacketRouter):
         self.deliver(cycle)
         if self._cs_inject:
             self._process_cs_injections(cycle)
-        if self._unalloc_vcs:
+        if self._unalloc_vcs and cycle >= self._va_wake:
             self._route_and_va(cycle)
         if self._buffered_flits:
             self._sa_st(cycle)

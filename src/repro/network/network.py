@@ -309,6 +309,8 @@ def _wire(cfg: NetworkConfig, sim: Simulator,
             links.append(flink)
             r.connect_output(port, flink, clink, routers[nbr], depth, cdepth)
             routers[nbr].connect_input(opposite_port(port), flink, clink)
+            # a downstream raising its active VCs re-opens r's VA gate
+            routers[nbr]._upstream.append(r)
     return links
 
 

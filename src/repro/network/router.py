@@ -43,6 +43,8 @@ from repro.sim.stats import ConservationLedger, Counter, TimeWeighted
 
 #: effectively-infinite credits for the ejection port (the NI always sinks)
 EJECT_CREDITS = 1 << 30
+#: ``_va_wake`` value meaning "no VA pass until an event lowers it"
+VA_NEVER = 1 << 62
 
 
 class PacketRouter(SimObject):
@@ -107,14 +109,27 @@ class PacketRouter(SimObject):
         self.ledger = ConservationLedger()
 
         # fast-path transients (derived/wiring state, never snapshotted):
-        #: owned downstream VCs per outport — lets switch allocation skip
-        #: outports with no claimant instead of scanning every VC
-        self._owned_out = [0] * NUM_PORTS
+        #: claimants of each outport's downstream VCs as ``(ovc, inport,
+        #: invc, fifo)`` entries, one list per (outport, slice); switch
+        #: allocation scans these instead of the owner table.  The
+        #: packet router has one slice per outport, the SDM router one
+        #: per plane plus the config VC (``_claim_slice`` maps a VC to it)
+        self._claims = [[[]] for _ in range(NUM_PORTS)]
+        self._claim_slice = [0] * self.total_vcs
         #: input VCs per port holding flits but no output VC — lets
         #: route-compute/VA skip ports (and whole cycles, through the
         #: total) where no head flit waits for an output VC
         self._port_unalloc = [0] * NUM_PORTS
         self._unalloc_vcs = 0
+        #: input VCs of each index, over all ports, holding flits or an
+        #: output VC (the gating utilisation sample sums these)
+        self._busy_by_vc = [0] * self.total_vcs
+        #: earliest cycle a VA pass can grant or consume anything; wake
+        #: events lower it (see ``_route_and_va``)
+        self._va_wake = 0
+        #: routers whose outputs feed this one (wiring): a raised
+        #: ``active_vcs`` here lowers their ``_va_wake``
+        self._upstream: List["PacketRouter"] = []
         #: reusable crossbar-input-usage scratch for ``_sa_st``
         self._used_in_scratch = [False] * NUM_PORTS
         #: first downstream VC each data input VC may claim at VA (the
@@ -193,12 +208,12 @@ class PacketRouter(SimObject):
                 while pipe and pipe[0][0] <= cycle:
                     credits[pipe.popleft()[1]] += 1
         arrived = written = 0
+        ready = cycle + self.rcfg.ps_pipeline_latency
         for inport, flink in lists[1]:
             pipe = flink._pipe
             if not pipe or pipe[0][0] > cycle:
                 continue
             vcs = self.in_ports[inport].vcs
-            ready = cycle + self.rcfg.ps_pipeline_latency
             unalloc = 0
             while pipe and pipe[0][0] <= cycle:
                 flit = pipe.popleft()[1]
@@ -206,11 +221,14 @@ class PacketRouter(SimObject):
                 if flit.is_circuit:
                     self._demux_circuit(inport, flit, cycle)
                     continue
-                vcobj = vcs[flit.vc]
+                vc = flit.vc
+                vcobj = vcs[vc]
                 fifo = vcobj.fifo
                 if not fifo:
                     if vcobj.out_vc is None:
+                        # a new head: the VC turns busy and waits for VA
                         unalloc += 1
+                        self._busy_by_vc[vc] += 1
                 elif len(fifo) >= vcobj.depth:
                     raise OverflowError(
                         "VC buffer overflow: credit protocol violated")
@@ -220,6 +238,8 @@ class PacketRouter(SimObject):
             if unalloc:
                 self._port_unalloc[inport] += unalloc
                 self._unalloc_vcs += unalloc
+                if ready < self._va_wake:
+                    self._va_wake = ready
         if arrived:
             counts = self.counters._counts
             if self.slot_state is not None:
@@ -248,7 +268,7 @@ class PacketRouter(SimObject):
 
     def transfer(self, cycle: int) -> None:
         self.deliver(cycle)
-        if self._unalloc_vcs:
+        if self._unalloc_vcs and cycle >= self._va_wake:
             self._route_and_va(cycle)
         if self._buffered_flits:
             self._sa_st(cycle)
@@ -256,8 +276,15 @@ class PacketRouter(SimObject):
             self._sample_utilisation()
 
     def control(self, cycle: int) -> None:
-        if self.gating is not None:
-            self.gating.tick(cycle)
+        gating = self.gating
+        if gating is not None:
+            active = self.active_vcs
+            gating.tick(cycle)
+            if self.active_vcs > active:
+                # upstream heads blocked on our advertised VCs may now
+                # find a free one: their next VA pass must run
+                for up in self._upstream:
+                    up._va_wake = 0
 
     # ------------------------------------------------------------------
     # route compute + VC allocation
@@ -265,16 +292,30 @@ class PacketRouter(SimObject):
     def _route_and_va(self, cycle: int) -> None:
         """Route compute and VC allocation for the head flits waiting for
         an output VC; only ports with such a VC are scanned, and a scan
-        stops once it has seen all of them."""
+        stops once it has seen all of them.
+
+        A pass that grants nothing and consumes nothing mutates nothing,
+        so ``transfer`` skips passes until ``_va_wake``.  The pass sets it
+        to the earliest ``ready_cycle`` of a waiting head still inside
+        the pipeline (``cycle + 1`` when a consumed configuration packet
+        left the next head waiting; else never).  Every event that can
+        let a later pass do more lowers it: a new head written into an
+        empty VC (``deliver``), an output VC freed here (``_sa_st``), a
+        downstream router raising ``active_vcs`` (its ``control``) and a
+        restore.  A head is routed at the first pass after it is ready,
+        which is never skipped, so the route sees the same credits.
+        """
         in_ports = self.in_ports
         port_unalloc = self._port_unalloc
         out_vc_owner = self.out_vc_owner
-        owned = self._owned_out
+        claims = self._claims
+        claim_slice = self._claim_slice
         va_base = self._va_base
         config_vc = self.config_vc
         counts = self.counters._counts
         head_kind = FlitKind.HEAD
         head_tail_kind = FlitKind.HEAD_TAIL
+        wake = VA_NEVER
         for inport in range(NUM_PORTS):
             waiting = port_unalloc[inport]
             if not waiting:
@@ -289,8 +330,11 @@ class PacketRouter(SimObject):
                 waiting -= 1
                 head = fifo[0]
                 kind = head.kind
-                if ((kind is not head_kind and kind is not head_tail_kind)
-                        or cycle < head.ready_cycle):
+                if kind is not head_kind and kind is not head_tail_kind:
+                    continue
+                if cycle < head.ready_cycle:
+                    if head.ready_cycle < wake:
+                        wake = head.ready_cycle
                     continue
                 outport = vcobj.route_outport
                 if outport is None:
@@ -299,8 +343,12 @@ class PacketRouter(SimObject):
                         # packet consumed here (config processing)
                         vcobj.pop()
                         self._buffered_flits -= 1
-                        if not fifo:
+                        if fifo:
+                            # the next head is examined next cycle
+                            wake = cycle + 1
+                        else:
                             settled += 1
+                            self._busy_by_vc[invc] -= 1
                         self._return_credit(inport, invc, cycle)
                         self.ledger.consumed += 1
                         continue
@@ -328,12 +376,14 @@ class PacketRouter(SimObject):
                         continue
                 vcobj.out_vc = ovc
                 owners[ovc] = (inport, invc)
-                owned[outport] += 1
+                claims[outport][claim_slice[ovc]].append(
+                    (ovc, inport, invc, fifo))
                 settled += 1
                 counts["vc_arb"] = counts.get("vc_arb", 0) + 1
             if settled:
                 port_unalloc[inport] -= settled
                 self._unalloc_vcs -= settled
+        self._va_wake = wake
 
     def _compute_route(self, inport: int, head: Flit,
                        cycle: int) -> Optional[int]:
@@ -381,7 +431,7 @@ class PacketRouter(SimObject):
         lets a packet-switched flit use the idle reservation (the steal
         is counted).
         """
-        owned = self._owned_out
+        claims = self._claims
         out_links = self.out_links
         cs_out = self._cs_out_used
         slot_state = self.slot_state
@@ -390,7 +440,6 @@ class PacketRouter(SimObject):
             slot = cycle % slot_state.clock.active
             stealing = self.cfg.circuit.slot_stealing
         reserved = False
-        in_ports = self.in_ports
         total_vcs = self.total_vcs
         sa_ptr = self._sa_ptr
         mod = NUM_PORTS * total_vcs
@@ -398,7 +447,8 @@ class PacketRouter(SimObject):
         gating = self.gating
         used_in = None
         for outport in range(NUM_PORTS):
-            if not owned[outport] or out_links[outport] is None:
+            claimants = claims[outport][0]
+            if not claimants or out_links[outport] is None:
                 continue
             if cs_out[outport]:
                 continue
@@ -414,34 +464,27 @@ class PacketRouter(SimObject):
                 for i in range(NUM_PORTS):
                     used_in[i] = cs_in[i]
             # every (inport, invc) owns at most one output VC, so the
-            # rotated-distance minimum is unique and tracked inline
-            owners = self.out_vc_owner[outport]
+            # rotated-distance minimum is unique (scan order is free)
             credits = self.credits[outport]
             ptr = sa_ptr[outport]
             winner = None
             winner_key = mod
             n_candidates = 0
-            for ovc in range(total_vcs):
-                owner = owners[ovc]
-                if owner is None or credits[ovc] <= 0:
+            for claim in claimants:
+                ovc, inport, invc, vfifo = claim
+                if credits[ovc] <= 0 or used_in[inport]:
                     continue
-                inport, invc = owner
-                if used_in[inport]:
-                    continue
-                vfifo = in_ports[inport].vcs[invc].fifo
                 if not vfifo or cycle < vfifo[0].ready_cycle:
                     continue
                 n_candidates += 1
                 key = (inport * total_vcs + invc - ptr) % mod
                 if key < winner_key:
                     winner_key = key
-                    winner = owner
-                    winner_ovc = ovc
+                    winner = claim
             if winner is None:
                 continue
             counts["sw_arb"] = counts.get("sw_arb", 0) + 1
-            inport, invc = winner
-            ovc = winner_ovc
+            ovc, inport, invc, vfifo = winner
             if n_candidates > 1:
                 # the pointer only advances on a real multi-way
                 # arbitration (it is snapshot state)
@@ -452,8 +495,7 @@ class PacketRouter(SimObject):
                 if self.obs.enabled:
                     self.obs.slot_steal(cycle, self._obs_track,
                                         outport, slot)
-            vcobj = in_ports[inport].vcs[invc]
-            flit = vcobj.fifo.popleft()
+            flit = vfifo.popleft()
             self._buffered_flits -= 1
             counts["buffer_read"] = counts.get("buffer_read", 0) + 1
             if gating is not None:
@@ -475,20 +517,30 @@ class PacketRouter(SimObject):
             flit.packet.hops_taken += 1
             kind = flit.kind
             if kind is FlitKind.TAIL or kind is FlitKind.HEAD_TAIL:
-                owners[ovc] = None
-                owned[outport] -= 1
-                vcobj.route_outport = None
-                vcobj.out_vc = None
-                if vcobj.fifo:
-                    # the next packet's head now waits for an output VC
-                    self._port_unalloc[inport] += 1
-                    self._unalloc_vcs += 1
+                self._release_out_vc(outport, winner)
             ol = out_links[outport]
             ol._pipe.append((cycle + ol.latency, flit))
             ol.flits_carried += 1
             ws = ol.wake_sink
             if ws is not None and not ws._sim_awake:
                 ws.sim_wake()
+
+    def _release_out_vc(self, outport: int, claim: tuple) -> None:
+        """The tail of *claim*'s packet left: free its output VC.  The
+        next packet's head (if any) now waits for VA, else the input VC
+        is idle; either way a VA pass may now grant something."""
+        ovc, inport, invc, vfifo = claim
+        self.out_vc_owner[outport][ovc] = None
+        self._claims[outport][self._claim_slice[ovc]].remove(claim)
+        vcobj = self.in_ports[inport].vcs[invc]
+        vcobj.route_outport = None
+        vcobj.out_vc = None
+        if vfifo:
+            self._port_unalloc[inport] += 1
+            self._unalloc_vcs += 1
+        else:
+            self._busy_by_vc[invc] -= 1
+        self._va_wake = 0
 
     def _return_credit(self, inport: int, invc: int, cycle: int) -> None:
         clink = self.credit_out[inport]
@@ -499,17 +551,11 @@ class PacketRouter(SimObject):
     # VC power gating support (controller lives in repro.core.vc_gating)
     # ------------------------------------------------------------------
     def _sample_utilisation(self) -> None:
-        # VirtualChannel.busy, inlined: this runs every cycle on every
-        # gating router
+        # runs every cycle on every gating router: the busy VCs come from
+        # the incremental per-index counts, not a buffer scan
         active = self.active_vcs
-        busy = 0
-        for port in self.in_ports:
-            vcs = port.vcs
-            for i in range(active):
-                vc = vcs[i]
-                if vc.fifo or vc.out_vc is not None:
-                    busy += 1
         if active:
+            busy = sum(self._busy_by_vc[:active])
             self._busy_accum += busy / (NUM_PORTS * active)
         self._busy_samples += 1
 
@@ -531,10 +577,8 @@ class PacketRouter(SimObject):
     def vc_drainable(self, index: int) -> bool:
         """True when data VC *index* is empty and unowned on every port,
         and no downstream VC *index* of ours is still held by anyone."""
-        for port in self.in_ports:
-            vc = port.vcs[index]
-            if vc.fifo or vc.out_vc is not None:
-                return False
+        if self._busy_by_vc[index]:
+            return False
         for outport in range(NUM_PORTS):
             if self.out_vc_owner[outport][index] is not None:
                 return False
@@ -582,6 +626,7 @@ class PacketRouter(SimObject):
          self._qdelay_accum, self._qdelay_samples) = state["busy"]
         for name, value in self._recount().items():
             setattr(self, name, value)
+        self._va_wake = 0
         if self.gating is not None and state["gating"] is not None:
             self.gating.load_state_dict(state["gating"])
         for cl, sub in zip(self.credit_out, state["credit_pipes"],
@@ -595,25 +640,53 @@ class PacketRouter(SimObject):
         return sum(p.occupancy() for p in self.in_ports)
 
     def _recount(self) -> dict:
-        """The fast-path counters, recounted from the VC buffers and the
-        output-VC owner tables (derived state, never snapshotted)."""
+        """The fast-path counters and claim lists, rebuilt from the VC
+        buffers and the output-VC owner tables (derived state, never
+        snapshotted)."""
         port_unalloc = [sum(1 for vc in p.vcs
                             if vc.fifo and vc.out_vc is None)
                         for p in self.in_ports]
+        busy_by_vc = [0] * self.total_vcs
+        for p in self.in_ports:
+            for i, vc in enumerate(p.vcs):
+                if vc.fifo or vc.out_vc is not None:
+                    busy_by_vc[i] += 1
+        claims = [[[] for _ in row] for row in self._claims]
+        for outport, owners in enumerate(self.out_vc_owner):
+            for ovc, owner in enumerate(owners):
+                if owner is not None:
+                    inport, invc = owner
+                    claims[outport][self._claim_slice[ovc]].append(
+                        (ovc, inport, invc,
+                         self.in_ports[inport].vcs[invc].fifo))
         return {
             "_buffered_flits": self.occupancy(),
-            "_owned_out": [sum(1 for o in row if o is not None)
-                           for row in self.out_vc_owner],
+            "_claims": claims,
             "_port_unalloc": port_unalloc,
             "_unalloc_vcs": sum(port_unalloc),
+            "_busy_by_vc": busy_by_vc,
         }
 
+    def _comparable(self, name: str, value):
+        """*value* of derived field *name* in a form that compares equal
+        to its recount: claim lists become sorted ``(ovc, inport, invc,
+        fifo-is-that-VC's)`` rows, since their order is free."""
+        if name != "_claims":
+            return value
+        vcs = [p.vcs for p in self.in_ports]
+        return [[sorted((ovc, inport, invc, fifo is vcs[inport][invc].fifo)
+                        for ovc, inport, invc, fifo in lst)
+                 for lst in row] for row in value]
+
     def audit_counters(self) -> Optional[str]:
-        """Describe every fast-path counter that disagrees with its
-        recount, or return None when all agree."""
-        bad = [f"{name}={getattr(self, name)!r} (recount {want!r})"
-               for name, want in self._recount().items()
-               if getattr(self, name) != want]
+        """Describe every fast-path counter or claim list that disagrees
+        with its recount, or return None when all agree."""
+        bad = []
+        for name, want in self._recount().items():
+            have = self._comparable(name, getattr(self, name))
+            want = self._comparable(name, want)
+            if have != want:
+                bad.append(f"{name}={have!r} (recount {want!r})")
         if not bad:
             return None
         return f"router {self.node} counters: " + ", ".join(bad)

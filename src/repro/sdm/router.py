@@ -29,10 +29,9 @@ from repro.network.topology import LOCAL, Mesh, NUM_PORTS
 
 
 def sdm_packet_size(cfg: NetworkConfig, kind: str) -> int:
-    """Packet sizes in *narrow* (plane-width) flits."""
+    """Packet sizes in *narrow* (plane-width) flits (``NetworkConfig``
+    guarantees an SDM plane is at least one byte wide)."""
     plane_w = cfg.router.channel_width_bytes // cfg.sdm.planes
-    if plane_w < 1:
-        raise ValueError("more planes than channel bytes")
     d = -(-CACHE_LINE_BYTES // plane_w)
     sizes = {"config": 1, "ctrl": 1, "cs_data": d, "ps_data": d + 1}
     try:
@@ -62,6 +61,13 @@ class SDMRouter(PacketRouter):
         # VC allocation keeps a packet on its plane: a data VC of plane p
         # claims a downstream VC in p's range
         self._va_base = [vc // v * v for vc in range(self.total_vcs)]
+        # derived state sized by the rebuilt VC count: claim slice 0 is
+        # the config VC, slice p + 1 plane p
+        self._claims = [[[] for _ in range(self.planes + 1)]
+                        for _ in range(NUM_PORTS)]
+        self._claim_slice = [0 if vc == self.config_vc else vc // v + 1
+                             for vc in range(self.total_vcs)]
+        self._busy_by_vc = [0] * self.total_vcs
 
         # circuit state
         self.cs_route: List[List[int]] = [
@@ -110,7 +116,7 @@ class SDMRouter(PacketRouter):
         self.deliver(cycle)
         if self._cs_inject:
             self._process_cs_injections(cycle)
-        if self._unalloc_vcs:
+        if self._unalloc_vcs and cycle >= self._va_wake:
             self._route_and_va(cycle)
         if self._buffered_flits:
             self._sa_st(cycle)
@@ -229,75 +235,65 @@ class SDMRouter(PacketRouter):
         skipped when a circuit flit actually used it this cycle.  The
         config slice neither checks nor claims a plane input.
         """
-        owned = self._owned_out
+        claims = self._claims
         out_links = self.out_links
-        in_ports = self.in_ports
         planes = self.planes
-        v = self.rcfg.num_vcs
-        config_vc = self.config_vc
         total_vcs = self.total_vcs
         sa_ptr = self._sa_ptr
         mod = NUM_PORTS * total_vcs
         counts = self.counters._counts
         used_in = None
         for outport in range(NUM_PORTS):
-            if not owned[outport] or out_links[outport] is None:
+            if out_links[outport] is None:
                 continue
-            if used_in is None:
-                used_in = self._used_in_scratch
-                for i, row in enumerate(self._cs_in_used):
-                    used_in[i][:] = row
-            owners = self.out_vc_owner[outport]
             credits = self.credits[outport]
             cs_out = self._cs_out_used[outport]
-            # slice -1 is the config escape VC, slices 0.. the planes
-            for plane in range(-1, planes):
-                if plane < 0:
-                    ovc = config_vc
-                    owner = owners[ovc]
-                    if owner is None or credits[ovc] <= 0:
+            # slice 0 is the config escape VC, slices 1.. the planes
+            for sl, claimants in enumerate(claims[outport]):
+                if not claimants:
+                    continue
+                if used_in is None:
+                    used_in = self._used_in_scratch
+                    for i, row in enumerate(self._cs_in_used):
+                        used_in[i][:] = row
+                if not sl:
+                    winner = claimants[0]   # the config VC's only claim
+                    ovc, inport, invc, vfifo = winner
+                    if credits[ovc] <= 0:
                         continue
-                    inport, invc = owner
-                    vfifo = in_ports[inport].vcs[invc].fifo
                     if not vfifo or cycle < vfifo[0].ready_cycle:
                         continue
                 else:
+                    plane = sl - 1
                     if cs_out[plane]:
                         continue
                     # single-pass round-robin pick within the plane
                     ptr_idx = outport * planes + plane
                     ptr = sa_ptr[ptr_idx]
-                    owner = None
+                    winner = None
                     winner_key = mod
                     n_candidates = 0
-                    base = plane * v
-                    for cand in range(base, base + v):
-                        o = owners[cand]
-                        if o is None or credits[cand] <= 0:
+                    for claim in claimants:
+                        ovc, inport, invc, vfifo = claim
+                        if credits[ovc] <= 0 or used_in[inport][plane]:
                             continue
-                        inport, invc = o
-                        if used_in[inport][plane]:
-                            continue
-                        vfifo = in_ports[inport].vcs[invc].fifo
                         if not vfifo or cycle < vfifo[0].ready_cycle:
                             continue
                         n_candidates += 1
                         key = (inport * total_vcs + invc - ptr) % mod
                         if key < winner_key:
                             winner_key = key
-                            owner = o
-                            ovc = cand
-                    if owner is None:
+                            winner = claim
+                    if winner is None:
                         continue
-                    inport, invc = owner
+                    ovc, inport, invc, vfifo = winner
                     if n_candidates > 1:
                         sa_ptr[ptr_idx] = inport * total_vcs + invc + 1
                     used_in[inport][plane] = True
                 counts["sw_arb"] = counts.get("sw_arb", 0) + 1
                 # traversal: narrow-flit link accounting (1/planes of a
                 # full-width traversal)
-                vcobj = in_ports[inport].vcs[invc]
-                flit = vcobj.fifo.popleft()
+                flit = vfifo.popleft()
                 self._buffered_flits -= 1
                 counts["buffer_read"] = counts.get("buffer_read", 0) + 1
                 clink = self.credit_out[inport]
@@ -313,13 +309,7 @@ class SDMRouter(PacketRouter):
                 flit.packet.hops_taken += 1
                 kind = flit.kind
                 if kind is FlitKind.TAIL or kind is FlitKind.HEAD_TAIL:
-                    owners[ovc] = None
-                    owned[outport] -= 1
-                    vcobj.route_outport = None
-                    vcobj.out_vc = None
-                    if vcobj.fifo:
-                        self._port_unalloc[inport] += 1
-                        self._unalloc_vcs += 1
+                    self._release_out_vc(outport, winner)
                 ol = out_links[outport]
                 ol._pipe.append((cycle + ol.latency, flit))
                 ol.flits_carried += 1

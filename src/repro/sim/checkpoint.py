@@ -42,7 +42,7 @@ import pickle
 import struct
 from collections import deque
 from enum import Enum
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -207,112 +207,185 @@ def state_hash(tree: Dict) -> str:
       object-*sharing* topology is part of the hash,
     * objects encode their class name plus all ``__slots__`` (walking
       the MRO) and ``__dict__`` attributes, attribute names sorted,
-    * callables raise ``TypeError`` — a closure in a state tree is a
-      serialization leak and should fail loudly.
+    * callables raise ``TypeError`` naming their path in the tree — a
+      closure in a state tree is a serialization leak and should fail
+      loudly.
+
+    The pieces go to one byte buffer hashed once (a list of the pieces
+    would cost far more memory than their bytes); the path is only
+    built while such an error unwinds.
     """
-    h = hashlib.sha256()
-    _encode(tree, h, {}, "$")
-    return h.hexdigest()
+    out = bytearray()
+    try:
+        _encode(tree, out.extend, {})
+    except _Leak as leak:
+        path = "$" + "".join(reversed(leak.steps))
+        raise TypeError(f"{leak.what} in state tree at {path}"
+                        f"{leak.detail}") from None
+    return hashlib.sha256(out).hexdigest()
 
 
-def _encode(obj, h, memo: Dict[int, int], path: str) -> None:
+class _Leak(Exception):
+    """A callable inside a state tree.  Each container it unwinds
+    through appends its step (``.key``, ``[i]``, ``.attr``)."""
+
+    def __init__(self, what: str, detail: str) -> None:
+        super().__init__(what)
+        self.what = what
+        self.detail = detail
+        self.steps: List[str] = []
+
+
+_pack_double = struct.Struct("<d").pack
+_SEQ_TAGS = {list: b"L", tuple: b"U", deque: b"Q"}
+#: per-class sorted ``__slots__`` names over the MRO (classes are static)
+_slot_names: Dict[type, Tuple[str, ...]] = {}
+
+
+def _class_slots(klass: type) -> Tuple[str, ...]:
+    names = _slot_names.get(klass)
+    if names is None:
+        found = set()
+        for k in klass.__mro__:
+            slots = getattr(k, "__slots__", ())
+            if isinstance(slots, str):
+                slots = (slots,)
+            found.update(n for n in slots
+                         if n not in ("__dict__", "__weakref__"))
+        names = _slot_names[klass] = tuple(sorted(found))
+    return names
+
+
+def _encode(obj, emit, memo: Dict[int, int]) -> None:
     # scalars first: never memoized (small ints / interned strings share
     # identity without sharing meaning)
     if obj is None:
-        h.update(b"N")
+        emit(b"N")
         return
     if obj is True:
-        h.update(b"T")
+        emit(b"T")
         return
     if obj is False:
-        h.update(b"F")
+        emit(b"F")
         return
     t = type(obj)
     if t is int:
-        h.update(b"i" + str(obj).encode())
+        emit(b"i%d" % obj)
         return
     if t is float:
-        h.update(b"f" + struct.pack("<d", obj))
+        emit(b"f" + _pack_double(obj))
         return
     if t is str:
         b = obj.encode("utf-8")
-        h.update(b"s" + str(len(b)).encode() + b":")
-        h.update(b)
+        emit(b"s%d:" % len(b))
+        emit(b)
         return
     if t is bytes:
-        h.update(b"b" + str(len(obj)).encode() + b":")
-        h.update(obj)
+        emit(b"b%d:" % len(obj))
+        emit(obj)
         return
     if isinstance(obj, Enum):
         # catches IntEnum too (its type is not int)
-        h.update(b"E" + type(obj).__name__.encode() + b"." + obj.name.encode())
+        emit(b"E" + type(obj).__name__.encode() + b"." + obj.name.encode())
         return
     if isinstance(obj, np.generic):
-        _encode(obj.item(), h, memo, path)
+        _encode(obj.item(), emit, memo)
         return
 
     # containers / objects: memoized by identity so shared references
     # hash as back-refs and cycles terminate
     oid = id(obj)
     if oid in memo:
-        h.update(b"@" + str(memo[oid]).encode())
+        emit(b"@%d" % memo[oid])
         return
     memo[oid] = len(memo)
 
     if t is dict:
-        h.update(b"D" + str(len(obj)).encode() + b"{")
-        for k, v in obj.items():
-            _encode(k, h, memo, path)
-            h.update(b"=")
-            _encode(v, h, memo, path + f".{k!r}")
-        h.update(b"}")
+        emit(b"D%d{" % len(obj))
+        k = None
+        try:
+            for k, v in obj.items():
+                if type(k) is str:
+                    b = k.encode("utf-8")
+                    emit(b"s%d:" % len(b))
+                    emit(b)
+                else:
+                    _encode(k, emit, memo)
+                emit(b"=")
+                if type(v) is int:
+                    emit(b"i%d" % v)
+                else:
+                    _encode(v, emit, memo)
+        except _Leak as leak:
+            leak.steps.append(f".{k!r}")
+            raise
+        emit(b"}")
         return
-    if t in (list, tuple, deque):
-        tag = {list: b"L", tuple: b"U", deque: b"Q"}[t]
-        h.update(tag + str(len(obj)).encode() + b"[")
+    tag = _SEQ_TAGS.get(t)
+    if tag is not None:
+        emit(tag + b"%d[" % len(obj))
         for i, v in enumerate(obj):
-            _encode(v, h, memo, path + f"[{i}]")
-        h.update(b"]")
+            tv = type(v)
+            if tv is int:
+                emit(b"i%d" % v)
+            elif v is None:
+                emit(b"N")
+            else:
+                try:
+                    _encode(v, emit, memo)
+                except _Leak as leak:
+                    leak.steps.append(f"[{i}]")
+                    raise
+        emit(b"]")
         return
     if t in (set, frozenset):
-        h.update(b"S" + str(len(obj)).encode() + b"{")
+        emit(b"S%d{" % len(obj))
         for v in sorted(obj, key=repr):
-            _encode(v, h, memo, path)
-        h.update(b"}")
+            _encode(v, emit, memo)
+        emit(b"}")
         return
     if t is np.ndarray:
-        h.update(b"A" + str(obj.dtype).encode() + b":"
-                 + str(obj.shape).encode() + b":")
-        h.update(np.ascontiguousarray(obj).tobytes())
+        emit(b"A" + str(obj.dtype).encode() + b":"
+             + str(obj.shape).encode() + b":")
+        emit(np.ascontiguousarray(obj).tobytes())
         return
     if callable(obj) and not hasattr(obj, "__slots__") \
             and not hasattr(obj, "__dict__"):
-        raise TypeError(f"unhashable callable in state tree at {path}: {obj!r}")
+        raise _Leak("unhashable callable", f": {obj!r}")
 
     # generic object: class + slots-chain + __dict__, names sorted
-    names: List[str] = []
-    for klass in type(obj).__mro__:
-        slots = getattr(klass, "__slots__", ())
-        if isinstance(slots, str):
-            slots = (slots,)
-        for name in slots:
-            if name not in ("__dict__", "__weakref__") and hasattr(obj, name):
-                names.append(name)
+    names = _class_slots(t)
     d = getattr(obj, "__dict__", None)
-    if d is not None:
-        names.extend(d.keys())
-    if not names and callable(obj):
-        raise TypeError(f"unhashable callable in state tree at {path}: {obj!r}")
-    h.update(b"O" + type(obj).__name__.encode() + b"(")
-    for name in sorted(set(names)):
-        value = getattr(obj, name)
+    if d:
+        names = sorted(set(names).union(d))
+    values = []
+    for name in names:
+        value = getattr(obj, name, _UNSET)
+        if value is not _UNSET:
+            values.append((name, value))
+    if not values and callable(obj):
+        raise _Leak("unhashable callable", f": {obj!r}")
+    emit(b"O" + t.__name__.encode() + b"(")
+    for name, value in values:
         if callable(value) and not isinstance(value, type):
-            raise TypeError(
-                f"callable attribute in state tree at {path}.{name}: "
-                f"{value!r} — exclude it from state_dict()")
-        h.update(name.encode() + b"=")
-        _encode(value, h, memo, path + f".{name}")
-    h.update(b")")
+            leak = _Leak("callable attribute",
+                         f": {value!r} — exclude it from state_dict()")
+            leak.steps.append(f".{name}")
+            raise leak
+        emit(name.encode() + b"=")
+        if type(value) is int:
+            emit(b"i%d" % value)
+            continue
+        try:
+            _encode(value, emit, memo)
+        except _Leak as leak:
+            leak.steps.append(f".{name}")
+            raise
+    emit(b")")
+
+
+#: marks an unset ``__slots__`` attribute
+_UNSET = object()
 
 
 # ---------------------------------------------------------------------------

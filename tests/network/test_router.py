@@ -7,11 +7,16 @@ a 1-flit packet from node 0 to an adjacent node arrives at the remote NI
 9 cycles after injection (1 injection-link cycle + 2 routers x 4).
 """
 
+import dataclasses
+
 import pytest
 
+from repro.config import SCHEMES, scheme_config
 from repro.network.flit import Message, MessageClass
 from repro.network.interface import Endpoint
 from repro.network.topology import LOCAL
+from repro.sim.checkpoint import capture_state, reset_id_counters, state_hash
+from repro.traffic import attach_synthetic_sources, make_pattern
 
 from tests.conftest import build
 
@@ -154,3 +159,38 @@ class TestStatsPlumbing:
         sim, net = packet_net
         sim.run(20)
         assert all(r.occupancy() == 0 for r in net.routers)
+
+
+def _va_gate_trajectory(scheme, force_va):
+    """State hashes every 50 cycles over 600 cycles of UR traffic at 0.45
+    on 6x6; with *force_va* every router's VA gate is held open.  Gating
+    controllers run 32-cycle epochs, so VC sets go down and back up."""
+    reset_id_counters()
+    gating = scheme_config(scheme).vc_gating
+    overrides = ({"vc_gating": dataclasses.replace(gating, epoch=32)}
+                 if gating.enabled else {})
+    sim, net = build(scheme, width=6, height=6, seed=7, **overrides)
+    pattern = make_pattern("uniform_random", net.mesh, sim.rng)
+    attach_synthetic_sources(net, pattern, injection_rate=0.45, rng=sim.rng)
+    hashes = []
+    for cycle in range(1, 601):
+        if force_va:
+            for r in net.routers:
+                r._va_wake = 0
+        sim.step()
+        if cycle % 50 == 0:
+            hashes.append(state_hash(capture_state(sim, net)))
+    return hashes, net
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_va_gate_skips_only_passes_that_change_nothing(scheme):
+    """Skipping VA passes until ``_va_wake`` leaves the trajectory equal
+    to running a pass whenever a head waits for an output VC."""
+    gated, net = _va_gate_trajectory(scheme, force_va=False)
+    forced, _ = _va_gate_trajectory(scheme, force_va=True)
+    assert gated == forced
+    if scheme == "hybrid_tdm_hop_vct":
+        # a downstream raising its active VCs must re-open the gate of
+        # the routers upstream of it: make sure that happened
+        assert any(r.gating.activations for r in net.routers)

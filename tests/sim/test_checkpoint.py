@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 import os
 import pickle
+from collections import deque
+from enum import Enum
 
+import numpy as np
 import pytest
 
 from repro.core.circuit import Connection
@@ -17,6 +20,7 @@ from repro.sim.checkpoint import (
     SnapshotError,
     capture_state,
     load_snapshot,
+    reset_id_counters,
     restore_state,
     save_snapshot,
     sha256_bytes,
@@ -100,10 +104,52 @@ class TestCaptureRestore:
                 != state_hash(capture_state(sim_b, net_b)))
 
 
+class _Slotted:
+    __slots__ = ("a", "b", "unset")
+
+    def __init__(self):
+        self.a = 1.5
+        self.b = [None]
+
+
+class _Color(Enum):
+    RED = 1
+
+
 class TestStateHash:
     def test_callable_in_tree_fails_loudly(self):
-        with pytest.raises(TypeError, match="callable"):
+        with pytest.raises(TypeError, match=r"callable .*at \$\.'oops': "):
             state_hash({"format": 1, "oops": lambda: None})
+
+    def test_callable_attribute_error_names_its_path(self):
+        class Holder:
+            def __init__(self):
+                self.fn = len
+
+        path = r"\$\.'a'\[1\]\.'b'\.fn: "
+        with pytest.raises(TypeError, match=r"callable attribute .*at " + path):
+            state_hash({"a": [0, {"b": Holder()}]})
+
+    def test_digests_are_pinned(self):
+        """Digests of the original streaming encoder: the buffered one
+        must reproduce them byte for byte."""
+        shared = [1, 2]
+        tree = {"ints": (0, -7, 1 << 70), "floats": [0.0, -0.0, 1e-300],
+                "text": "p\u00e4th", "raw": b"\x00\xff", True: False,
+                "sets": ({3, 1, 2}, frozenset({"b", "a"})),
+                "enum": _Color.RED,
+                "np": (np.int64(5), np.float32(0.5),
+                       np.arange(6).reshape(2, 3)),
+                "queue": deque([shared, shared]), "obj": _Slotted()}
+        assert state_hash(tree) == (
+            "87064e03e5f120d5389b49591e309b14b21e5bd86f8519174bcf1160394a2b94")
+        reset_id_counters()
+        sim, net, _ = prepare_synthetic("packet_vc4", "uniform_random", 0.3,
+                                        seed=1, width=4, height=4,
+                                        slot_table_size=64)
+        sim.run(300)
+        assert state_hash(capture_state(sim, net)) == (
+            "ec79c97ceaa853e26b1c9a077aff046d99202a191861f0ea5e3395bfd644c27e")
 
     def test_float_bits_matter(self):
         assert state_hash({"x": 0.0}) != state_hash({"x": -0.0})

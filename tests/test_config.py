@@ -192,6 +192,32 @@ class TestValidation:
         with pytest.raises(ValueError):
             SDMConfig(planes=1)
 
+    def test_sdm_planes_wider_than_the_channel_rejected(self):
+        narrow = RouterConfig(channel_width_bytes=2)
+        planes = SDMConfig(planes=4)
+        with pytest.raises(ValueError, match="planes"):
+            NetworkConfig(switching="sdm", router=narrow, sdm=planes)
+        # the SDM section is unread by the other datapaths
+        NetworkConfig(switching="tdm", router=narrow, sdm=planes)
+        NetworkConfig(switching="sdm", router=narrow, sdm=SDMConfig(planes=2))
+
+    def test_config_vc_depth_must_be_positive(self):
+        with pytest.raises(ValueError, match="config_vc_depth"):
+            RouterConfig(config_vc_depth=0)
+        RouterConfig(config_vc_depth=1)
+
+    def test_resize_fail_threshold_must_be_positive(self):
+        with pytest.raises(ValueError, match="resize_fail_threshold"):
+            SlotTableConfig(resize_fail_threshold=0)
+        SlotTableConfig(resize_fail_threshold=1)
+
+    @pytest.mark.parametrize("threshold", [0, 4])
+    def test_sharing_fail_threshold_within_the_2bit_counter(self, threshold):
+        with pytest.raises(ValueError, match="sharing_fail_threshold"):
+            CircuitConfig(sharing_fail_threshold=threshold)
+        CircuitConfig(sharing_fail_threshold=1)
+        CircuitConfig(sharing_fail_threshold=3)
+
     def test_bad_circuit(self):
         with pytest.raises(ValueError):
             CircuitConfig(duration=0)
